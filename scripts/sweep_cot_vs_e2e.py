@@ -19,9 +19,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from arlab.classes import IntervalSet, make_shifted_subset_class
 from arlab.cli import write_svg_lines
-from arlab.harness import Distribution, TrialConfig, sweep_T
+from arlab.verify import cot_vs_e2e_sweep
 
 
 def main() -> int:
@@ -36,27 +35,19 @@ def main() -> int:
     ap.add_argument("--svg", default=None)
     args = ap.parse_args()
 
-    cls = make_shifted_subset_class(IntervalSet((1, 3, 4)), args.smax, H=32)
-    support = ("0", "00", "000", "0000", "01")
-    dist = Distribution.uniform(support)
     Ts = [int(t) for t in args.Ts.split(",")]
-
+    sweeps = cot_vs_e2e_sweep(
+        Ts, args.R, args.seed, args.smax, Fraction(args.eps), Fraction(args.delta)
+    )
     all_rows = []
-    series = {}
-    for learner, mode in (("cot_compress", "cot"), ("erm_e2e", "e2e")):
-        cfg = TrialConfig(
-            cls=cls, dist=dist, T=1, mode=mode, learner=learner,
-            m=0, rng_seed=args.seed,
-        )
-        rows = sweep_T(cfg, Ts, Fraction(args.eps), Fraction(args.delta), args.R)
+    for learner, rows in sweeps.items():
         for r in rows:
             print(f"{learner:12s} T={r['T']:2d} m_hat={r['m_hat']:3d} "
                   f"failure_rate={float(r['failure_rate']):.2f}")
         all_rows += [(r["T"], r["mode"], learner, r["m_hat"],
                       float(r["failure_rate"])) for r in rows]
-        series[learner] = [(r["T"], r["m_hat"]) for r in rows]
 
-    cot = [m for _, mode, _, m, _ in all_rows if mode == "cot"]
+    cot = [r["m_hat"] for r in sweeps["cot_compress"]]
     print(f"cot spread: max/min = {max(cot)}/{min(cot)}")
 
     if args.csv:
@@ -65,7 +56,10 @@ def main() -> int:
             w.writerow(("T", "mode", "learner", "m_hat", "failure_rate"))
             w.writerows(all_rows)
     if args.svg:
-        write_svg_lines(args.svg, series)
+        write_svg_lines(args.svg, {
+            learner: [(r["T"], r["m_hat"]) for r in rows]
+            for learner, rows in sweeps.items()
+        })
     return 0
 
 

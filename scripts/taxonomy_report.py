@@ -14,38 +14,18 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from arlab import dims
-from arlab.classes import (
-    RateTable,
-    diagonal_rate,
-    make_taxonomy_class,
-    normalize_rate,
-    rate_to_set,
-    relocation_prefixes,
-)
+from arlab.classes import RateTable, diagonal_rate
+from arlab.verify import taxonomy_sandwich
 
 
 def check_rate(name: str, rate: RateTable, t_max: int) -> bool:
-    s_max = t_max
-    c = rate(1)
-    N = rate_to_set(normalize_rate(rate))
-    horizon = N.bound + s_max + t_max + 2
-    cls = make_taxonomy_class(rate, s_max, horizon)
-    if c == 1:
-        dom = dims.chain_domain(max(N.bound, 1))
-    else:
-        dom = tuple(
-            p + "0" * t
-            for p in relocation_prefixes(c)
-            for t in range(1, max(N.bound, 1) + 1)
-        )
-    ok = True
+    cls, rows = taxonomy_sandwich(rate, t_max, s_max=t_max)
     print(f"-- {name} (|class| = {len(cls)})")
-    for T in range(1, t_max + 1):
-        vc = dims.vc_dimension(dims.restrict_e2e(cls, dom, T))
-        good = rate(T) <= vc <= rate(T) + c
+    ok = True
+    for T, r_T, vc, lower_ok, upper_ok in rows:
+        good = lower_ok and upper_ok
         ok &= good
-        print(f"   T={T}: r={rate(T)} vc={vc} {'ok' if good else 'VIOLATION'}")
+        print(f"   T={T}: r={r_T} vc={vc} {'ok' if good else 'VIOLATION'}")
     return ok
 
 

@@ -4,7 +4,8 @@ Subcommands: dims, taxonomy, learn, sweep, verify. Every command is
 deterministic given its flags and --seed; stdout is machine-parseable CSV with
 a fixed header line (reports and diagnostics go to stderr). Exit codes:
 0 ok, 1 check failure, 2 parse error, 3 enumeration cap, 4 invalid rate,
-5 not realizable/separable.
+5 not realizable/separable. Bad input of any kind (a malformed spec, flag
+value or domain, or a T or domain beyond the spec's horizon) exits 2.
 
 Class-spec files are JSON, one object per file, with a normative `type` field
 in {full, shifted_subset, product, linear_grid, parity, atdim_example,
@@ -21,10 +22,11 @@ import sys
 import time
 from fractions import Fraction
 
-from . import classes, dims, harness, learners
-from .core import FiniteClass, check_bitstring, e2e_output
+from . import classes, dims, harness, learners, verify
+from .core import FiniteClass, check_bitstring
 from .errors import (
     EnumerationTooLarge,
+    HorizonExceeded,
     HorizonTooSmall,
     LabError,
     NotRealizable,
@@ -127,26 +129,29 @@ def load_class(path: str, cap: int = classes.DEFAULT_CAP) -> FiniteClass:
     return build_class(obj, cap)
 
 
+def _flag_ints(flag: str, text: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError as e:
+        raise SpecParseError(f"{flag} must be a comma list of integers: {e}") from e
+
+
 def parse_domain(text: str) -> tuple[str, ...]:
     """Either 'chain:K' (prompts 0^1..0^K) or a comma-separated prompt list
-    where '-' stands for the empty prompt."""
+    where '-' stands for the empty prompt; prompts must be distinct."""
     if text.startswith("chain:"):
         try:
             k = int(text.split(":", 1)[1])
         except ValueError as e:
             raise SpecParseError(f"bad chain domain {text!r}") from e
         return dims.chain_domain(k)
-    prompts = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if tok in ("", "-"):
-            prompts.append("")
-            continue
-        try:
-            prompts.append(check_bitstring(tok))
-        except ValueError as e:
-            raise SpecParseError(str(e)) from e
-    return tuple(prompts)
+    toks = (tok.strip() for tok in text.split(","))
+    try:
+        return dims.check_domain(
+            ["" if tok in ("", "-") else check_bitstring(tok) for tok in toks]
+        )
+    except ValueError as e:
+        raise SpecParseError(str(e)) from e
 
 
 # ---------------------------------------------------------------------------
@@ -256,30 +261,12 @@ def cmd_dims(args) -> int:
 
 
 def cmd_taxonomy(args) -> int:
-    values = tuple(int(v) for v in args.rate.split(","))
-    rate = classes.RateTable(values)
+    rate = classes.RateTable(tuple(_flag_ints("--rate", args.rate)))
     t_max = args.Tmax or rate.t_max
     if t_max > rate.t_max:
         raise SpecParseError(f"--Tmax {t_max} exceeds tabulated rate length {rate.t_max}")
     s_max = args.smax if args.smax is not None else t_max
-    c = rate(1)
-    norm = classes.normalize_rate(rate)
-    N = classes.rate_to_set(norm)
-    # parts must also absorb the longest relocation prefix (length c+1)
-    horizon = N.bound + s_max + t_max + c + 2
-    cls = classes.make_taxonomy_class(rate, s_max, horizon, args.cap)
-    if c == 1:
-        domain = dims.chain_domain(max(N.bound, 1))
-    else:
-        prefixes = classes.relocation_prefixes(c)
-        domain = tuple(
-            p + "0" * t for p in prefixes for t in range(1, max(N.bound, 1) + 1)
-        )
-    rows = []
-    for T in range(1, t_max + 1):
-        vc = dims.vc_dimension(dims.restrict_e2e(cls, domain, T))
-        r_T = rate(T)
-        rows.append((T, r_T, vc, vc >= r_T, vc <= r_T + c))
+    _, rows = verify.taxonomy_sandwich(rate, t_max, s_max, args.cap)
     write_csv(("T", "r", "vc_e2e", "lower_ok", "upper_ok"), rows)
     return EXIT_OK if all(r[3] and r[4] for r in rows) else EXIT_CHECK_FAILED
 
@@ -293,19 +280,12 @@ def cmd_learn(args) -> int:
     S = learners.CotSample(tuple(pairs), T)
     report: dict = {"learner": args.learner, "m": len(S), "T": T}
     if args.learner == "erm_e2e":
-        # e2e supervision: consistent with the final bits only
-        target_bits = [(x, y[-1]) for x, y in S]
-        g = next(
-            (
-                f
-                for f in cls
-                if all(e2e_output(f, x, T) == y for x, y in target_bits)
-            ),
-            None,
-        )
-        if g is None:
-            raise NotRealizable("no generator e2e-consistent with the sample")
-        hyp = learners.CotHypothesis(g, T)
+        # e2e supervision: the first generator consistent with the final bits
+        prompts = tuple(dict.fromkeys(x for x, _ in S))
+        pos = {x: i for i, x in enumerate(prompts)}
+        table = harness._e2e_table(cls, T, prompts)
+        g = harness._erm_e2e_index(table, [(pos[x], y[-1]) for x, y in S])
+        hyp = learners.CotHypothesis(cls[g], T)
     elif args.learner == "cot_compress":
         comp = learners.cot_compress(cls, S, rng_seed=args.seed)
         hyp = learners.cot_reconstruct(cls, comp, T)
@@ -350,7 +330,7 @@ def cmd_sweep(args) -> int:
         rng_seed=args.seed,
         learner_options=(("d", args.d),) if args.d is not None else (),
     )
-    Ts = [int(v) for v in args.Ts.split(",")] if args.Ts else []
+    Ts = _flag_ints("--Ts", args.Ts) if args.Ts else []
     rows = harness.sweep_T(
         cfg, Ts, Fraction(args.eps), Fraction(args.delta), args.R, args.m_cap
     )
@@ -366,8 +346,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from . import verify
-
     suite = {
         "lemmas": verify.suite_lemmas,
         "compression": verify.suite_compression,
@@ -394,8 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="arlab",
         description="Desk-scale laboratory for autoregressive PAC learning.",
     )
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker hint; outputs are canonical regardless")
     sub = p.add_subparsers(dest="command", required=True)
 
     d = sub.add_parser("dims", help="brute-force dimensions of a class spec")
@@ -455,8 +431,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecParseError, HorizonTooSmall) as e:
-        # HorizonTooSmall means the spec file's own parameters are inconsistent
+    except (SpecParseError, HorizonTooSmall, HorizonExceeded) as e:
+        # bad input: a malformed flag or spec, a spec whose own parameters are
+        # inconsistent, or a T or domain beyond the spec's horizon
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except EnumerationTooLarge as e:

@@ -493,7 +493,9 @@ def _rep_order(e: LabeledBit):
 
 def stable_compress_cot(S: CotSample, d: int) -> CotSample:
     """Kernel of the lifted stable scheme: deflate the max-margin support of
-    the inflated sample. Size <= d+1."""
+    the inflated sample. Size <= d+1; an empty sample has the empty kernel."""
+    if len(S) == 0:
+        return S
     params, support = max_margin(inflate(S), d)
     return deflate(support, S)
 

@@ -1,32 +1,19 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with `pytest tests/test_acceptance.py -v -s`. Tolerances are pinned here:
-identities are exact, the parity frequency carries 0.1 Monte-Carlo slack, and
-the sweep criterion is the stated factor-2 / non-decreasing shape check.
+Run with `pytest tests/test_acceptance.py -v -s`. Each criterion calls the
+property checks in `arlab.verify` that `arlab verify` runs, with its own
+seeds and counts. Tolerances are pinned there: identities are exact, the
+parity frequency carries 0.1 Monte-Carlo slack, and the sweep criterion is
+the stated factor-2 / non-decreasing shape check.
 """
 
-import math
 import random
 import time
 from contextlib import contextmanager
-from fractions import Fraction
 
-from arlab import classes, dims, harness, learners, verify
-from arlab.classes import (
-    IntervalSet,
-    RateTable,
-    interval_density,
-    make_atdim_example_class,
-    make_full_class,
-    make_parity_class,
-    make_product_class,
-    make_shifted_subset_class,
-    rate_to_set,
-    relocation_prefixes,
-    atdim_node_label,
-)
+from arlab import verify
+from arlab.classes import atdim_node_label, make_atdim_example_class
 from arlab.core import realized_trace_tree
-from arlab.harness import Distribution, TrialConfig
 
 
 @contextmanager
@@ -40,75 +27,47 @@ def criterion(name: str):
     print(f"PASS {name}  [{time.perf_counter() - t0:.1f}s]")
 
 
+def assert_passed(checks):
+    for c in checks:
+        assert c.passed, f"{c.name}: {c.detail}"
+
+
 def test_ac1_taxonomy_identity():
     with criterion("AC1 taxonomy identity: vc(e2e) == interval density for N={1,3,4}"):
-        N = IntervalSet((1, 3, 4))
-        cls = make_shifted_subset_class(N, s_max=16, H=32)
-        dom = dims.chain_domain(8)
-        want = (1, 2, 2, 3, 3, 3)
-        for T in range(1, 7):
-            vc = dims.vc_dimension(dims.restrict_e2e(cls, dom, T))
-            assert vc == interval_density(N, T) == want[T - 1], (T, vc)
+        assert_passed(verify.check_taxonomy_identity())
 
 
 def test_ac2_full_class_linearity():
     with criterion("AC2 full class: vc(e2e restriction) == T for T = 1..5 at H=16"):
-        cls = make_full_class(16)
-        dom = dims.chain_domain(10)
-        for T in range(1, 6):
-            assert dims.vc_dimension(dims.restrict_e2e(cls, dom, T)) == T
+        assert_passed(verify.check_full_class_linearity(H=16, chain=10, t_max=5))
 
 
 def test_ac3_rate_round_trip():
     with criterion("AC3 rate round trip: ceil(sqrt(T)) up to T_max = 64"):
-        r = RateTable(tuple(math.isqrt(T - 1) + 1 for T in range(1, 65)))
-        N = rate_to_set(r)
-        for T in range(1, 65):
-            assert interval_density(N, T) == r(T)
+        assert_passed(verify.check_rate_round_trip())
 
 
 def test_ac4_product_additivity():
     with criterion("AC4 product of two F(N={1,3}) copies: base VC and e2e VC add"):
-        N = IntervalSet((1, 3))
-        part = make_shifted_subset_class(N, s_max=8, H=16)
-        prod = make_product_class([part, part])
-        p1, p2 = relocation_prefixes(2)
-        dom_part = dims.chain_domain(3)
-        dom_prod = tuple(p + x for p in (p1, p2) for x in dom_part)
-        base_part = dims.vc_dimension(dims.restrict_base(part, dom_part))
-        base_prod = dims.vc_dimension(dims.restrict_base(prod, dom_prod))
-        assert base_prod == 2 * base_part
-        e2e_part = dims.vc_dimension(dims.restrict_e2e(part, dom_part, 2))
-        e2e_prod = dims.vc_dimension(dims.restrict_e2e(prod, dom_prod, 2))
-        assert e2e_prod == 2 * e2e_part
+        assert_passed(verify.check_product_additivity())
 
 
 def test_ac5_leveled_subtree_sauer():
     with criterion(
         "AC5 leveled-subtree Sauer: 1000 random depth-10 trees + oracle agreement"
     ):
-        rng = random.Random(7)
-        for _ in range(1000):
-            t = verify.random_tree(rng, 10)
-            padded = dims.pad_to_depth(t, 10)
-            assert dims.leaf_count_bound_check(padded)
-            assert dims.leveled_subtree_depth(t) == dims.leveled_subtree_depth_exhaustive(t)
-        count = 0
-        for t in verify.enumerate_all_trees(7):
-            count += 1
-            assert dims.leveled_subtree_depth(t) == dims.leveled_subtree_depth_exhaustive(t)
-        assert count == 625
+        checks = verify.suite_sauer(seed=7, trials=1000)
+        assert_passed(checks)
+        assert checks[-1].name == "oracle agreement on all 625 trees with <= 7 nodes"
 
 
 def test_ac6_atdim_example():
     with criterion(
         "AC6 branch class (D=4): VC=1, ATdim=1, Littlestone>=4, branches <= T^2"
     ):
+        assert_passed(verify.check_branch_class())
         cls = make_atdim_example_class(4, H=64)
         labels = tuple(atdim_node_label(i) for i in range(1, 32))
-        assert dims.vc_dimension(dims.restrict_base(cls, labels)) == 1
-        assert dims.atdim_realized(cls, labels, 6) == 1
-        assert dims.littlestone_dimension(cls, labels, depth_cap=12) >= 4
         for T in range(2, 7):
             for x in labels:
                 trie = realized_trace_tree(cls, x, T)
@@ -119,32 +78,13 @@ def test_ac7_parity_dichotomy():
     with criterion(
         "AC7 parity class: e2e VC 0 at even T; odd-T failure frequency >= 0.4"
     ):
-        cls = make_parity_class(8, H=64)
-        dom = tuple("0" * k + "1" for k in range(1, 9)) + ("11", "0110", "1")
-        for T in (2, 4):
-            pats = dims.restrict_e2e(cls, dom, T)
-            assert dims.vc_dimension(pats) == 0
-            assert len(pats) == 1
-        stats = harness.parity_lower_bound_experiment(
-            cls, k_max=8, n=4, R=200, seed=0
-        )
-        assert stats.frequency_quarter >= Fraction(2, 5), stats.frequency_quarter
+        assert_passed(verify.check_parity_collapse())
+        assert_passed(verify.check_parity_lower_bound(R=200, seed=0))
 
 
 def test_ac8_cot_compression_round_trips():
     with criterion("AC8 CoT compression: 500 seeded round trips, zero failures"):
-        N = IntervalSet((1, 3, 4))
-        cls = make_shifted_subset_class(N, s_max=16, H=32)
-        cache = learners.EvalCache(cls)
-        rng = random.Random(2024)
-        pool = verify.mixed_prompt_pool(rng, 6, 8)
-        for i in range(500):
-            m = rng.randrange(1, 21)
-            T = rng.randrange(1, 5)
-            S, _ = verify.random_realizable_cot_sample(cls, rng, m, T, pool)
-            comp = learners.cot_compress(cls, S, rng_seed=i, cache=cache)
-            hyp = learners.cot_reconstruct(cls, comp, T, cache=cache)
-            assert all(hyp(x) == y for x, y in S), i
+        assert_passed(verify.check_cot_round_trips(random.Random(2024), 500))
 
 
 def test_ac9_linear_stable_compression():
@@ -152,54 +92,14 @@ def test_ac9_linear_stable_compression():
         "AC9 linear stable compression: 500 samples, kernel <= d+1, "
         "deletion-stable, consistent"
     ):
-        rng = random.Random(31)
-        grids = {d: classes.enumerate_linear_class(d, 2, H=64) for d in (1, 2, 3)}
-        for i in range(500):
-            d = rng.randrange(1, 4)
-            grid = grids[d]
-            m = rng.randrange(1, 16)
-            T = rng.randrange(1, 4)
-            pool = verify._random_domain(rng, 6, 8)
-            S, _ = verify.random_realizable_cot_sample(grid, rng, m, T, list(pool))
-            kernel = learners.stable_compress_cot(S, d)
-            assert len(kernel) <= d + 1, i
-            hyp = learners.stable_reconstruct_cot(kernel, d, T)
-            assert all(hyp(x) == y for x, y in S), i
-            kern = set(kernel.examples)
-            first = {}
-            for j, ex in enumerate(S.examples):
-                first.setdefault(ex, j)
-            for j, ex in enumerate(S.examples):
-                if ex in kern and first[ex] == j:
-                    continue
-                rest = learners.CotSample(S.examples[:j] + S.examples[j + 1 :], T)
-                assert (
-                    learners.stable_compress_cot(rest, d).examples == kernel.examples
-                ), (i, j)
+        assert_passed(verify.check_linear_stable_compression(random.Random(31), 500))
 
 
 def test_ac10_growth_inequalities():
     with criterion(
         "AC10 growth inequalities on 50 seeded classes: projection and SSP"
     ):
-        rng = random.Random(404)
-        for _ in range(50):
-            cls, dom = verify._random_small_class(rng)
-            T = rng.randrange(1, 4)
-            base = dims.restrict_base(cls, dom)
-            traces = dims.restrict_cot(cls, dom, T)
-            e2e = dims.restrict_e2e(cls, dom, T)
-            for pats in (base, e2e):
-                vc = dims.vc_dimension(pats)
-                for m in range(min(6, len(dom)) + 1):
-                    g = dims.growth_function(pats, m)
-                    if m >= 1:
-                        if vc == 0:
-                            assert g == 1
-                        else:
-                            assert g <= (2 * math.e * m) ** (2 * vc)
-            for m in range(min(6, len(dom)) + 1):
-                assert dims.growth_function(base, m) <= dims.growth_function(traces, m)
+        assert_passed(verify.check_growth_inequalities(random.Random(404), 50))
 
 
 def test_ac11_sweep_shapes():
@@ -207,20 +107,7 @@ def test_ac11_sweep_shapes():
         "AC11 sweep on F(N={1,3,4}), T in {1,2,4,8}: CoT spread <= 2x, "
         "e2e ERM non-decreasing"
     ):
-        N = IntervalSet((1, 3, 4))
-        cls = make_shifted_subset_class(N, s_max=12, H=32)
-        support = ("0", "00", "000", "0000", "01")
-        dist = Distribution.uniform(support)
-        eps = delta = Fraction(1, 10)
-        results = {}
-        for learner, mode in (("cot_compress", "cot"), ("erm_e2e", "e2e")):
-            cfg = TrialConfig(
-                cls=cls, dist=dist, T=1, mode=mode, learner=learner, m=0, rng_seed=0
-            )
-            rows = harness.sweep_T(cfg, [1, 2, 4, 8], eps, delta, R=100)
-            results[learner] = [r["m_hat"] for r in rows]
-        cot = results["cot_compress"]
-        e2e = results["erm_e2e"]
+        sweeps = verify.cot_vs_e2e_sweep([1, 2, 4, 8], R=100, seed=0, s_max=12)
+        cot, e2e = ([r["m_hat"] for r in rows] for rows in sweeps.values())
         print(f"  cot m_hat {cot}, e2e m_hat {e2e}")
-        assert min(cot) > 0 and max(cot) / min(cot) <= 2, cot
-        assert all(a <= b for a, b in zip(e2e, e2e[1:])), e2e
+        assert_passed(verify.check_sweep_shapes(sweeps))

@@ -9,8 +9,8 @@ import pytest
 
 from arlab import cli
 from arlab.cli import main, parse_domain, read_sample_csv, write_bitstring_csv
-from arlab.classes import enumerate_linear_class
-from arlab.core import cot_trace
+from arlab.classes import IntervalSet, enumerate_linear_class, make_shifted_subset_class
+from arlab.core import cot_trace, e2e_output
 
 
 def write_spec(tmp_path, obj, name="spec.json"):
@@ -91,16 +91,6 @@ def test_dims_malformed_spec(tmp_path, capsys):
     assert "'N'" in err
 
 
-def test_dims_cap_exit(tmp_path, capsys):
-    spec = write_spec(tmp_path, {"type": "full", "horizon": 18})
-    rc, _, err = run_main(
-        ["dims", "--spec", spec, "--domain", "chain:2", "--T", "1",
-         "--which", "vc_base", "--cap", "1000"],
-        capsys,
-    )
-    assert rc == 3
-
-
 def test_taxonomy_ok(tmp_path, capsys):
     rc, out, _ = run_main(["taxonomy", "--rate", "1,2,2,3"], capsys)
     assert rc == 0
@@ -117,17 +107,52 @@ def test_taxonomy_constant_rate(tmp_path, capsys):
     assert all(r[2] == "1" for r in rows)
 
 
-def test_taxonomy_invalid_rate(capsys):
-    rc, _, err = run_main(["taxonomy", "--rate", "2,1"], capsys)
-    assert rc == 4
-
-
 def test_taxonomy_wide_rate(capsys):
     # r(1) = 3 exercises three relocated copies
     rc, out, _ = run_main(["taxonomy", "--rate", "3,4,6"], capsys)
     assert rc == 0
     rows = list(csv.reader(out.splitlines()))[1:]
     assert all(r[3] == "True" and r[4] == "True" for r in rows)
+
+
+FULL8 = {"type": "full", "horizon": 8}
+
+# (argv, spec written to SPEC, sample rows written to SAMPLE, exit code)
+EXIT_CASES = [
+    pytest.param(["taxonomy", "--rate", "1,1"], None, None, 0, id="ok"),
+    # s_max < T_max leaves the lower bound unwitnessed: rows 3, 4 fail
+    pytest.param(["taxonomy", "--rate", "1,2,3,4", "--smax", "1"], None, None, 1,
+                 id="sandwich-fails"),
+    pytest.param(["taxonomy", "--rate", "1,a"], None, None, 2, id="rate-not-int"),
+    pytest.param(["sweep", "--spec", "SPEC", "--Ts", "1,a", "--mode", "e2e",
+                  "--learner", "erm_e2e"], SHIFTED, None, 2, id="Ts-not-int"),
+    pytest.param(["dims", "--spec", "SPEC", "--domain", "01,2x", "--T", "1"],
+                 SHIFTED, None, 2, id="domain-not-bits"),
+    pytest.param(["dims", "--spec", "SPEC", "--domain", "0,0", "--T", "1"],
+                 SHIFTED, None, 2, id="domain-duplicate"),
+    pytest.param(["dims", "--spec", "SPEC", "--domain", "chain:5", "--T", "6"],
+                 FULL8, None, 2, id="T-beyond-horizon"),
+    pytest.param(["dims", "--spec", "SPEC", "--domain", "chain:2", "--T", "1",
+                  "--which", "vc_base", "--cap", "1000"],
+                 {"type": "full", "horizon": 18}, None, 3, id="cap"),
+    pytest.param(["taxonomy", "--rate", "2,1"], None, None, 4, id="rate-invalid"),
+    # one prompt, two different final bits
+    pytest.param(["learn", "--spec", "SPEC", "--sample", "SAMPLE",
+                  "--learner", "erm_e2e"],
+                 SHIFTED, [("0", "01"), ("0", "00")], 5, id="e2e-not-realizable"),
+]
+
+
+@pytest.mark.parametrize("argv, spec, sample, code", EXIT_CASES)
+def test_exit_code(tmp_path, capsys, argv, spec, sample, code):
+    files = {}
+    if spec is not None:
+        files["SPEC"] = write_spec(tmp_path, spec)
+    if sample is not None:
+        files["SAMPLE"] = make_sample_file(tmp_path, sample)
+    rc, _, err = run_main([files.get(a, a) for a in argv], capsys)
+    assert rc == code, err
+    assert ("error: " in err) == (code >= 2)
 
 
 def test_verify_sauer(capsys):
@@ -160,14 +185,6 @@ def test_verify_lemmas_and_parity(capsys):
             ["verify", "--suite", suite, "--seed", "0", "--trials", trials], capsys
         )
         assert rc == 0, suite
-
-
-def test_domain_parse_error_exit_code(tmp_path, capsys):
-    spec = write_spec(tmp_path, SHIFTED)
-    rc, _, err = run_main(
-        ["dims", "--spec", spec, "--domain", "01,2x", "--T", "1"], capsys
-    )
-    assert rc == 2
 
 
 def test_sweep_rows(tmp_path, capsys):
@@ -225,8 +242,6 @@ def test_learn_linear_stable(tmp_path, capsys):
 
 def test_learn_cot_compress(tmp_path, capsys):
     spec = write_spec(tmp_path, SHIFTED)
-    from arlab.classes import IntervalSet, make_shifted_subset_class
-
     cls = make_shifted_subset_class(IntervalSet((1, 3, 4)), 16, 32)
     target = cls[42]
     pairs = [(x, cot_trace(target, x, 3)) for x in ("0", "00", "000", "1")]
@@ -243,6 +258,21 @@ def test_learn_cot_compress(tmp_path, capsys):
     assert {"kernel_size", "n_voters", "index_bits", "info_bits_estimate"} <= set(report)
 
 
+def test_sweep_linear_stable(tmp_path, capsys):
+    # the search tries m = 0 first: an empty sample has the empty kernel
+    spec = write_spec(
+        tmp_path, {"type": "linear_grid", "d": 2, "weight_bound": 1, "horizon": 64}
+    )
+    rc, out, _ = run_main(
+        ["sweep", "--spec", spec, "--Ts", "1,2,4", "--mode", "cot",
+         "--learner", "linear_stable", "-d", "2", "--R", "20"],
+        capsys,
+    )
+    assert rc == 0
+    rows = list(csv.reader(out.splitlines()))
+    assert [r[:2] for r in rows[1:]] == [["1", "cot"], ["2", "cot"], ["4", "cot"]]
+
+
 def test_sweep_cot_learner(tmp_path, capsys):
     spec = write_spec(tmp_path, SHIFTED)
     rc, out, _ = run_main(
@@ -254,6 +284,21 @@ def test_sweep_cot_learner(tmp_path, capsys):
     assert rc == 0
     rows = list(csv.reader(out.splitlines()))
     assert len(rows) == 2 and rows[1][1] == "cot"
+
+
+def test_learn_erm_e2e_first_consistent(tmp_path, capsys):
+    spec = write_spec(tmp_path, SHIFTED)
+    cls = make_shifted_subset_class(IntervalSet((1, 3, 4)), 16, 32)
+    pairs = [(x, cot_trace(cls[42], x, 3)) for x in ("0", "00", "000", "1", "0")]
+    sample = make_sample_file(tmp_path, pairs)
+    rc, out, _ = run_main(
+        ["learn", "--spec", spec, "--sample", sample, "--learner", "erm_e2e"], capsys
+    )
+    assert rc == 0
+    # class order breaks ties among the e2e-consistent generators
+    g = next(f for f in cls if all(e2e_output(f, x, 3) == y[-1] for x, y in pairs))
+    preds = [r[2] for r in list(csv.reader(out.splitlines()))[1:]]
+    assert preds == [cot_trace(g, x, 3) for x, _ in pairs]
 
 
 def test_learn_not_realizable(tmp_path, capsys):
