@@ -136,6 +136,16 @@ def _flag_ints(flag: str, text: str) -> list[int]:
         raise SpecParseError(f"{flag} must be a comma list of integers: {e}") from e
 
 
+def _flag_probability(flag: str, text: str) -> Fraction:
+    try:
+        value = Fraction(text)
+        if 0 <= value <= 1:
+            return value
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise SpecParseError(f"{flag} must be a fraction in [0, 1], got {text!r}")
+
+
 def parse_domain(text: str) -> tuple[str, ...]:
     """Either 'chain:K' (prompts 0^1..0^K) or a comma-separated prompt list
     where '-' stands for the empty prompt; prompts must be distinct."""
@@ -317,23 +327,20 @@ def _linear_d_from_spec(path: str) -> int:
 
 
 def cmd_sweep(args) -> int:
+    eps = _flag_probability("--eps", args.eps)
+    delta = _flag_probability("--delta", args.delta)
     cls = load_class(args.spec, args.cap)
-    support = parse_domain(args.support)
-    dist = harness.Distribution.uniform(support)
-    cfg = harness.TrialConfig(
-        cls=cls,
-        dist=dist,
-        T=1,
-        mode=args.mode,
-        learner=args.learner,
-        m=0,
-        rng_seed=args.seed,
-        learner_options=(("d", args.d),) if args.d is not None else (),
-    )
+    dist = harness.Distribution.uniform(parse_domain(args.support))
+    try:
+        cfg = harness.TrialConfig(
+            cls=cls, dist=dist, T=1, mode=args.mode, learner=args.learner, m=0,
+            rng_seed=args.seed,
+            learner_options=(("d", args.d),) if args.d is not None else (),
+        )
+    except ValueError as e:  # a learner that does not fit --mode, or lacks -d
+        raise SpecParseError(str(e)) from e
     Ts = _flag_ints("--Ts", args.Ts) if args.Ts else []
-    rows = harness.sweep_T(
-        cfg, Ts, Fraction(args.eps), Fraction(args.delta), args.R, args.m_cap
-    )
+    rows = harness.sweep_T(cfg, Ts, eps, delta, args.R, args.m_cap)
     write_csv(
         ("T", "mode", "m_hat", "failure_rate"),
         [(r["T"], r["mode"], r["m_hat"], float(r["failure_rate"])) for r in rows],
@@ -404,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--spec", required=True)
     s.add_argument("--Ts", required=True, help="comma list of generation lengths")
     s.add_argument("--mode", required=True, choices=("e2e", "cot"))
-    s.add_argument("--learner", required=True, choices=harness.LEARNERS)
+    s.add_argument("--learner", required=True, choices=harness.LEARNER_MODES)
     s.add_argument("--support", default="chain:8")
     s.add_argument("--eps", default="0.1")
     s.add_argument("--delta", default="0.1")

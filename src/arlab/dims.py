@@ -208,45 +208,44 @@ def _has_extension(sorted_nodes: list[str], prefix: str) -> bool:
     return i < len(sorted_nodes) and sorted_nodes[i].startswith(prefix)
 
 
-def _sequence_feasible(levels: list[list[str]], seq: tuple[int, ...]) -> bool:
-    feas = levels[seq[-1]]
-    for i in range(len(seq) - 2, -1, -1):
-        nxt = feas
-        feas = [
-            v
-            for v in levels[seq[i]]
-            if _has_extension(nxt, v + "0") and _has_extension(nxt, v + "1")
-        ]
-        if not feas:
-            return False
-    return True
-
-
 def leveled_subtree_depth(tree, max_depth: int = 16) -> int:
     """Maximum d such that a perfect leveled binary subtree of depth d embeds
     in the tree.
 
-    For each strictly increasing level sequence l_0 < ... < l_d a bottom-up
-    feasibility pass marks a node at level l_i feasible iff both its child
-    subtrees contain a feasible node at level l_{i+1}; d increases until no
-    sequence is feasible. Raises DepthCapExceeded for trees deeper than
-    max_depth (callers handling sparse deep trees may raise the bound).
+    Depth-first search over level suffixes l_i < ... < l_d, deepest last
+    level first. A suffix carries its feasible set at l_i; prepending a level
+    l keeps the nodes at l whose two child subtrees both reach that set. An
+    empty set ends its branch, as does one that cannot outgrow the longest
+    nonempty suffix found, whose length minus 1 is d. Raises
+    DepthCapExceeded for trees deeper than max_depth (callers handling
+    sparse deep trees may raise the bound).
     """
     paths = tree_paths(tree)
     depth = tree_depth(paths)
     if depth > max_depth:
         raise DepthCapExceeded(f"tree depth {depth} > bound {max_depth}")
     levels = [sorted(p for p in paths if len(p) == l) for l in range(depth + 1)]
-    d = 0
-    while d + 1 <= depth:
-        target = d + 1
-        if not any(
-            _sequence_feasible(levels, seq)
-            for seq in itertools.combinations(range(depth + 1), target + 1)
-        ):
+    best = 0  # levels in the longest nonempty suffix found
+
+    def extend(feas: list[str], top: int, length: int) -> None:
+        nonlocal best
+        best = max(best, length)
+        for l in range(top - 1, -1, -1):
+            if length + 1 + l <= best:
+                return
+            nxt = [
+                v
+                for v in levels[l]
+                if _has_extension(feas, v + "0") and _has_extension(feas, v + "1")
+            ]
+            if nxt:
+                extend(nxt, l, length + 1)
+
+    for last in range(depth, -1, -1):
+        if 1 + last <= best:
             break
-        d = target
-    return d
+        extend(levels[last], last, 1)
+    return best - 1
 
 
 def _embeds_perfect_exhaustive(paths: frozenset[str], d: int) -> bool:
@@ -289,9 +288,10 @@ def _embeds_perfect_exhaustive(paths: frozenset[str], d: int) -> bool:
         if p == 1:
             candidates = nodes
         else:
-            parent = assign[p >> 1]
-            side = "0" if p % 2 == 0 else "1"
-            candidates = [q for q in nodes if q.startswith(parent + side)]
+            prefix = assign[p >> 1] + str(p % 2)  # heap order: 2p left, 2p+1 right
+            # nodes are bitstrings: q extends prefix iff prefix <= q < prefix + "2"
+            lo = bisect_left(nodes, prefix)
+            candidates = nodes[lo : bisect_left(nodes, prefix + "2", lo)]
         for q in candidates:
             if pd in levels and levels[pd] != len(q):
                 continue

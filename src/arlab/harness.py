@@ -31,7 +31,10 @@ from .learners import (
     stable_reconstruct_cot,
 )
 
-LEARNERS = ("erm_e2e", "erm_cot", "cot_compress", "linear_stable")
+# the supervision mode each learner trains on; its keys are the learner names
+LEARNER_MODES = {
+    "erm_e2e": "e2e", "erm_cot": "cot", "cot_compress": "cot", "linear_stable": "cot"
+}
 
 
 @dataclass(frozen=True)
@@ -78,10 +81,13 @@ class TrialConfig:
     learner_options: tuple[tuple[str, object], ...] = ()
 
     def __post_init__(self):
-        if self.mode not in ("e2e", "cot"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.learner not in LEARNERS:
+        mode = LEARNER_MODES.get(self.learner)
+        if mode is None:
             raise ValueError(f"unknown learner {self.learner!r}")
+        if self.mode != mode:
+            raise ValueError(f"{self.learner} expects {mode}-mode supervision")
+        if self.learner == "linear_stable" and self.option("d") is None:
+            raise ValueError("linear_stable needs learner option 'd'")
         if self.target_index is not None and not (
             0 <= self.target_index < len(self.cls)
         ):
@@ -134,14 +140,10 @@ def run_trial(cfg: TrialConfig) -> TrialResult:
     kernel_size = None
 
     if cfg.learner == "erm_e2e":
-        if cfg.mode != "e2e":
-            raise ValueError("erm_e2e expects e2e-mode supervision")
         sampled = [(sup_pos[x], table[target_idx][sup_pos[x]]) for x in xs]
         g = _erm_e2e_index(table, sampled)
         predictions = table[g]
     else:
-        if cfg.mode != "cot":
-            raise ValueError(f"{cfg.learner} expects cot-mode supervision")
         target = cls[target_idx]
         S = CotSample(tuple((x, cot_trace(target, x, T)) for x in xs), T)
         if cfg.learner == "erm_cot":
@@ -160,8 +162,6 @@ def run_trial(cfg: TrialConfig) -> TrialResult:
             hyp = cot_reconstruct(cls, comp, T, cache=_eval_cache(cls))
         else:  # linear_stable
             d = cfg.option("d")
-            if d is None:
-                raise ValueError("linear_stable needs learner option 'd'")
             kernel = stable_compress_cot(S, d)
             kernel_size = len(kernel)
             hyp = stable_reconstruct_cot(kernel, d, T)

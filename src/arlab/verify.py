@@ -64,25 +64,16 @@ def enumerate_all_trees(max_nodes: int):
     max_nodes nodes, as prefix-path sets."""
 
     def shapes(n: int):
-        if n == 1:
-            yield frozenset({""})
+        # n = 0 is the absent subtree
+        if n == 0:
+            yield frozenset()
             return
-        for left_n in range(0, n):
-            right_n = n - 1 - left_n
-            lefts = (
-                [None] if left_n == 0 else list(shapes(left_n))
-            )
-            rights = (
-                [None] if right_n == 0 else list(shapes(right_n))
-            )
-            for lt in lefts:
-                for rt in rights:
-                    paths = {""}
-                    if lt is not None:
-                        paths.update("0" + p for p in lt)
-                    if rt is not None:
-                        paths.update("1" + p for p in rt)
-                    yield frozenset(paths)
+        for left_n in range(n):
+            rights = [{"1" + p for p in rt} for rt in shapes(n - 1 - left_n)]
+            for lt in shapes(left_n):
+                left = {""} | {"0" + p for p in lt}
+                for right in rights:
+                    yield frozenset(left | right)
 
     for n in range(1, max_nodes + 1):
         yield from shapes(n)

@@ -126,6 +126,22 @@ EXIT_CASES = [
     pytest.param(["taxonomy", "--rate", "1,a"], None, None, 2, id="rate-not-int"),
     pytest.param(["sweep", "--spec", "SPEC", "--Ts", "1,a", "--mode", "e2e",
                   "--learner", "erm_e2e"], SHIFTED, None, 2, id="Ts-not-int"),
+    pytest.param(["sweep", "--spec", "SPEC", "--Ts", "1", "--mode", "e2e",
+                  "--learner", "erm_e2e", "--eps", "abc"], SHIFTED, None, 2,
+                 id="eps-not-fraction"),
+    pytest.param(["sweep", "--spec", "SPEC", "--Ts", "1", "--mode", "e2e",
+                  "--learner", "erm_e2e", "--delta", "1/0"], SHIFTED, None, 2,
+                 id="delta-zero-denominator"),
+    # checked before any trial runs: no m reaches a failure rate <= -1
+    pytest.param(["sweep", "--spec", "SPEC", "--Ts", "1", "--mode", "e2e",
+                  "--learner", "erm_e2e", "--delta", "-1", "--R", "2"],
+                 SHIFTED, None, 2, id="delta-negative"),
+    pytest.param(["sweep", "--spec", "SPEC", "--Ts", "1", "--mode", "e2e",
+                  "--learner", "cot_compress"], SHIFTED, None, 2, id="learner-wants-cot"),
+    pytest.param(["sweep", "--spec", "SPEC", "--Ts", "1", "--mode", "cot",
+                  "--learner", "erm_e2e"], SHIFTED, None, 2, id="learner-wants-e2e"),
+    pytest.param(["sweep", "--spec", "SPEC", "--Ts", "1", "--mode", "cot",
+                  "--learner", "linear_stable"], SHIFTED, None, 2, id="linear-stable-no-d"),
     pytest.param(["dims", "--spec", "SPEC", "--domain", "01,2x", "--T", "1"],
                  SHIFTED, None, 2, id="domain-not-bits"),
     pytest.param(["dims", "--spec", "SPEC", "--domain", "0,0", "--T", "1"],

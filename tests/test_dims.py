@@ -5,6 +5,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arlab import dims, verify
 from arlab.classes import (
@@ -247,6 +248,39 @@ def test_leveled_depth_oracle_random():
     for _ in range(60):
         t = verify.random_tree(rng, 8)
         assert leveled_subtree_depth(t) == leveled_subtree_depth_exhaustive(t)
+
+
+def _prefix_closure(words) -> frozenset[str]:
+    return frozenset(w[:i] for w in words for i in range(len(w) + 1)) | {""}
+
+
+# random prefix-closed trees of depth <= 7, the union of up to 8 root paths
+prefix_closed_trees = st.sets(st.text(alphabet="01", max_size=7), max_size=8).map(
+    _prefix_closure
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(prefix_closed_trees)
+def test_leveled_depth_matches_oracle_property(t):
+    # the Sauer check runs the fast path on padded trees, so check both
+    for tree in (t, pad_to_depth(t)):
+        assert leveled_subtree_depth(tree) == leveled_subtree_depth_exhaustive(tree)
+
+
+def test_leveled_depth_oracle_small_padded():
+    for t in verify.enumerate_all_trees(7):
+        padded = pad_to_depth(t, 8)
+        assert leveled_subtree_depth(padded) == leveled_subtree_depth_exhaustive(padded)
+
+
+def test_leveled_oracle_independent_of_fast_path(monkeypatch):
+    def fast_path_called(*args, **kwargs):
+        raise AssertionError("the oracle must not use the fast path")
+
+    monkeypatch.setattr(dims, "_has_extension", fast_path_called)
+    monkeypatch.setattr(dims, "leveled_subtree_depth", fast_path_called)
+    assert leveled_subtree_depth_exhaustive(FIGURE_TREE) == 2
 
 
 def test_leveled_depth_monotone_under_growth():

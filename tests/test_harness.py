@@ -35,6 +35,17 @@ def test_distribution_validation():
         Distribution(("0",), (Fraction(0),))
 
 
+def test_trial_config_rejects_learner_mode_mismatch():
+    cls = taxonomy_class()
+    dist = Distribution.uniform(["0"])
+    for learner, mode in harness.LEARNER_MODES.items():
+        wrong = "cot" if mode == "e2e" else "e2e"
+        with pytest.raises(ValueError, match=f"expects {mode}-mode"):
+            TrialConfig(
+                cls=cls, dist=dist, T=1, mode=wrong, learner=learner, m=0, rng_seed=0
+            )
+
+
 def test_trial_covering_sample_zero_error():
     cls = taxonomy_class()
     dist = Distribution.uniform(["0", "00", "000"])
