@@ -4,8 +4,9 @@ Subcommands: dims, taxonomy, learn, sweep, verify. Every command is
 deterministic given its flags and --seed; stdout is machine-parseable CSV with
 a fixed header line (reports and diagnostics go to stderr). Exit codes:
 0 ok, 1 check failure, 2 parse error, 3 enumeration cap, 4 invalid rate,
-5 not realizable/separable. Bad input of any kind (a malformed spec, flag
-value or domain, or a T or domain beyond the spec's horizon) exits 2.
+5 not realizable/separable. Bad input of any kind (a malformed or
+out-of-range spec, flag value or domain, or a T or domain beyond the spec's
+horizon) exits 2.
 
 Class-spec files are JSON, one object per file, with a normative `type` field
 in {full, shifted_subset, product, linear_grid, parity, atdim_example,
@@ -86,36 +87,39 @@ def build_class(obj: dict, cap: int = classes.DEFAULT_CAP) -> FiniteClass:
     t = obj["type"]
     if t not in SPEC_TYPES:
         raise SpecParseError(f"field 'type' has unknown value {t!r}")
-    if t == "full":
-        return classes.make_full_class(_need(obj, "horizon", int, t), cap)
-    if t == "shifted_subset":
-        N = classes.IntervalSet(tuple(sorted(_int_list(obj, "N", t))))
-        return classes.make_shifted_subset_class(
-            N, _need(obj, "s_max", int, t), _need(obj, "horizon", int, t), cap
+    try:
+        if t == "full":
+            return classes.make_full_class(_need(obj, "horizon", int, t), cap)
+        if t == "shifted_subset":
+            N = classes.IntervalSet(tuple(sorted(_int_list(obj, "N", t))))
+            return classes.make_shifted_subset_class(
+                N, _need(obj, "s_max", int, t), _need(obj, "horizon", int, t), cap
+            )
+        if t == "product":
+            parts = [build_class(p, cap) for p in _need(obj, "parts", list, t)]
+            return classes.make_product_class(parts, cap)
+        if t == "linear_grid":
+            return classes.enumerate_linear_class(
+                _need(obj, "d", int, t),
+                _need(obj, "weight_bound", int, t),
+                _need(obj, "horizon", int, t),
+                cap,
+            )
+        if t == "parity":
+            return classes.make_parity_class(
+                _need(obj, "k_max", int, t), _need(obj, "horizon", int, t), cap
+            )
+        if t == "atdim_example":
+            return classes.make_atdim_example_class(
+                _need(obj, "depth", int, t), _need(obj, "horizon", int, t)
+            )
+        # taxonomy
+        rate = classes.RateTable(tuple(_int_list(obj, "rate", t)))
+        return classes.make_taxonomy_class(
+            rate, _need(obj, "s_max", int, t), _need(obj, "horizon", int, t), cap
         )
-    if t == "product":
-        parts = [build_class(p, cap) for p in _need(obj, "parts", list, t)]
-        return classes.make_product_class(parts, cap)
-    if t == "linear_grid":
-        return classes.enumerate_linear_class(
-            _need(obj, "d", int, t),
-            _need(obj, "weight_bound", int, t),
-            _need(obj, "horizon", int, t),
-            cap,
-        )
-    if t == "parity":
-        return classes.make_parity_class(
-            _need(obj, "k_max", int, t), _need(obj, "horizon", int, t), cap
-        )
-    if t == "atdim_example":
-        return classes.make_atdim_example_class(
-            _need(obj, "depth", int, t), _need(obj, "horizon", int, t)
-        )
-    # taxonomy
-    rate = classes.RateTable(tuple(_int_list(obj, "rate", t)))
-    return classes.make_taxonomy_class(
-        rate, _need(obj, "s_max", int, t), _need(obj, "horizon", int, t), cap
-    )
+    except ValueError as e:  # a parameter the constructor rejects
+        raise SpecParseError(str(e)) from e
 
 
 def load_class(path: str, cap: int = classes.DEFAULT_CAP) -> FiniteClass:
@@ -134,6 +138,11 @@ def _flag_ints(flag: str, text: str) -> list[int]:
         return [int(v) for v in text.split(",")]
     except ValueError as e:
         raise SpecParseError(f"{flag} must be a comma list of integers: {e}") from e
+
+
+def _flag_positive(flag: str, *values: int) -> None:
+    if any(v < 1 for v in values):
+        raise SpecParseError(f"{flag} must be >= 1, got {','.join(map(str, values))}")
 
 
 def _flag_probability(flag: str, text: str) -> Fraction:
@@ -249,6 +258,7 @@ DIM_NAMES = ("vc_base", "vc_e2e", "nat_cot", "vc_dual", "littlestone", "atdim")
 def cmd_dims(args) -> int:
     cls = load_class(args.spec, args.cap)
     domain = parse_domain(args.domain)
+    _flag_positive("--T", args.T)
     wanted = DIM_NAMES if args.which == "all" else (args.which,)
     rows = []
     for name in wanted:
@@ -329,17 +339,18 @@ def _linear_d_from_spec(path: str) -> int:
 def cmd_sweep(args) -> int:
     eps = _flag_probability("--eps", args.eps)
     delta = _flag_probability("--delta", args.delta)
+    _flag_positive("--R", args.R)
+    Ts = _flag_ints("--Ts", args.Ts) if args.Ts else []
+    _flag_positive("--Ts", *Ts)
     cls = load_class(args.spec, args.cap)
     dist = harness.Distribution.uniform(parse_domain(args.support))
     try:
         cfg = harness.TrialConfig(
             cls=cls, dist=dist, T=1, mode=args.mode, learner=args.learner, m=0,
-            rng_seed=args.seed,
-            learner_options=(("d", args.d),) if args.d is not None else (),
+            rng_seed=args.seed, d=args.d,
         )
     except ValueError as e:  # a learner that does not fit --mode, or lacks -d
         raise SpecParseError(str(e)) from e
-    Ts = _flag_ints("--Ts", args.Ts) if args.Ts else []
     rows = harness.sweep_T(cfg, Ts, eps, delta, args.R, args.m_cap)
     write_csv(
         ("T", "mode", "m_hat", "failure_rate"),

@@ -165,6 +165,36 @@ def e2e_output(f: Generator, x: str, T: int) -> str:
     return cot_trace(f, x, T)[-1]
 
 
+class EvalCache:
+    """Per-class memo of next-bit predictions, packed as generator bitmasks.
+
+    ones(x) has bit g set iff generator g predicts '1' at x; ok_mask(x, y)
+    has bit g set iff generator g is consistent with the example (x, y).
+    This is the one place that evaluates a whole class at a prompt.
+    """
+
+    def __init__(self, cls: FiniteClass):
+        self.cls = cls
+        self.full = (1 << len(cls)) - 1
+        self._ones: dict[str, int] = {}
+
+    def ones(self, x: str) -> int:
+        m = self._ones.get(x)
+        if m is None:
+            if len(x) >= self.cls.horizon:
+                raise HorizonExceeded(f"|x|={len(x)} >= horizon={self.cls.horizon}")
+            m = 0
+            for i, f in enumerate(self.cls):
+                if f.step(x) == "1":
+                    m |= 1 << i
+            self._ones[x] = m
+        return m
+
+    def ok_mask(self, x: str, y: str) -> int:
+        o = self.ones(x)
+        return o if y == "1" else ~o & self.full
+
+
 @dataclass(frozen=True)
 class GenerationTree:
     """Complete depth-T binary tree of all continuations of a prompt.

@@ -14,7 +14,7 @@ import math
 from bisect import bisect_left
 from typing import Iterable, Sequence
 
-from .core import FiniteClass, cot_trace, e2e_output, realized_trace_tree
+from .core import EvalCache, FiniteClass, cot_trace, e2e_output, realized_trace_tree
 from .errors import DepthCapExceeded, HorizonExceeded, SearchCapExceeded
 
 Pattern = tuple
@@ -117,9 +117,9 @@ def natarajan_dimension(patterns: Iterable[Pattern]) -> int:
 def dual_vc_dimension(cls: FiniteClass, domain: Sequence[str]) -> int:
     """VC dimension of the transposed evaluation matrix: one pattern per
     prompt, coordinates indexed by generators."""
-    domain = check_domain(domain)
-    rows = {tuple(f.step(x) for f in cls) for x in domain}
-    return vc_dimension(rows)
+    cache = EvalCache(cls)
+    masks = {cache.ones(x) for x in check_domain(domain)}
+    return vc_dimension(tuple(m >> g & 1 for g in range(len(cls))) for m in masks)
 
 
 def littlestone_dimension(
@@ -131,18 +131,8 @@ def littlestone_dimension(
     memoized on (version, remaining depth). A return value equal to
     depth_cap means the search was truncated there.
     """
-    domain = check_domain(domain)
-    n = len(cls)
-    if n == 0:
-        return 0
-    ones = []
-    for x in domain:
-        m = 0
-        for i, f in enumerate(cls):
-            if f.step(x) == "1":
-                m |= 1 << i
-        ones.append(m)
-    full = (1 << n) - 1
+    cache = EvalCache(cls)
+    ones = [cache.ones(x) for x in check_domain(domain)]
     memo: dict[tuple[int, int], int] = {}
 
     def rec(version: int, budget: int) -> int:
@@ -165,7 +155,7 @@ def littlestone_dimension(
         memo[key] = best
         return best
 
-    return rec(full, depth_cap)
+    return rec(cache.full, depth_cap)
 
 
 def growth_function(patterns: Iterable[Pattern], m: int) -> int:
@@ -335,14 +325,13 @@ def pad_to_depth(tree, T: int | None = None) -> frozenset[str]:
     return frozenset(out)
 
 
-def leaf_count_bound_check(tree, d: int | None = None, max_depth: int = 16) -> bool:
+def leaf_count_bound_check(tree) -> bool:
     """Sauer-style bound for leveled subtrees: after padding all leaves to a
     common depth T, the leaf count is at most sum_{i<=d} C(T, i) where d is
     the padded tree's maximal perfect leveled subtree depth."""
     padded = pad_to_depth(tree)
     T = tree_depth(padded)
-    if d is None:
-        d = leveled_subtree_depth(padded, max_depth=max_depth)
+    d = leveled_subtree_depth(padded)
     bound = sum(math.comb(T, i) for i in range(min(d, T) + 1))
     return len(tree_leaves(padded)) <= bound
 
@@ -380,21 +369,7 @@ def atdim_shattered(cls: FiniteClass, x: str, T: int, d: int) -> bool:
         raise HorizonExceeded(f"|x|+T={len(x) + T} > horizon={cls.horizon}")
     if d == 0:
         return len(cls) > 0
-    gens = cls.generators
-    full = (1 << len(gens)) - 1
-    if full == 0:
-        return False
-    masks: dict[str, int] = {}
-
-    def ones_mask(node: str) -> int:
-        m = masks.get(node)
-        if m is None:
-            m = 0
-            for i, f in enumerate(gens):
-                if f.step(node) == "1":
-                    m |= 1 << i
-            masks[node] = m
-        return m
+    cache = EvalCache(cls)
 
     def extensions(p: str, bit: str, level: int) -> list[str]:
         gap = level - len(p) - 1
@@ -405,9 +380,9 @@ def atdim_shattered(cls: FiniteClass, x: str, T: int, d: int) -> bool:
     def feasible(p: str, stage: int, version: int, seq: tuple[int, ...]) -> bool:
         if stage == len(seq) - 1:
             return version != 0
-        m1 = ones_mask(x + p)
+        m1 = cache.ones(x + p)
         v1 = version & m1
-        v0 = version & ~m1 & full
+        v0 = version & ~m1
         if not v0 or not v1:
             return False
         nxt = seq[stage + 1]
@@ -417,7 +392,7 @@ def atdim_shattered(cls: FiniteClass, x: str, T: int, d: int) -> bool:
 
     for seq in itertools.combinations(range(T + 1), d + 1):
         roots = ["".join(s) for s in itertools.product("01", repeat=seq[0])]
-        if any(feasible(p, 0, full, seq) for p in roots):
+        if any(feasible(p, 0, cache.full, seq) for p in roots):
             return True
     return False
 

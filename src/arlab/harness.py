@@ -78,7 +78,7 @@ class TrialConfig:
     m: int
     rng_seed: int
     target_index: int | None = None
-    learner_options: tuple[tuple[str, object], ...] = ()
+    d: int | None = None  # the tail window of linear_stable
 
     def __post_init__(self):
         mode = LEARNER_MODES.get(self.learner)
@@ -86,15 +86,12 @@ class TrialConfig:
             raise ValueError(f"unknown learner {self.learner!r}")
         if self.mode != mode:
             raise ValueError(f"{self.learner} expects {mode}-mode supervision")
-        if self.learner == "linear_stable" and self.option("d") is None:
-            raise ValueError("linear_stable needs learner option 'd'")
+        if self.learner == "linear_stable" and self.d is None:
+            raise ValueError("linear_stable needs the window d")
         if self.target_index is not None and not (
             0 <= self.target_index < len(self.cls)
         ):
             raise ValueError("target generator must belong to the class")
-
-    def option(self, name, default=None):
-        return dict(self.learner_options).get(name, default)
 
 
 @dataclass(frozen=True)
@@ -151,20 +148,13 @@ def run_trial(cfg: TrialConfig) -> TrialResult:
             hyp = CotHypothesis(g, T)
         elif cfg.learner == "cot_compress":
             boost_seed = rng.randrange(2**32)
-            comp = cot_compress(
-                cls,
-                S,
-                s=cfg.option("s"),
-                rng_seed=boost_seed,
-                cache=_eval_cache(cls),
-            )
+            comp = cot_compress(cls, S, rng_seed=boost_seed, cache=_eval_cache(cls))
             kernel_size = len(comp.kernel)
             hyp = cot_reconstruct(cls, comp, T, cache=_eval_cache(cls))
         else:  # linear_stable
-            d = cfg.option("d")
-            kernel = stable_compress_cot(S, d)
+            kernel = stable_compress_cot(S, cfg.d)
             kernel_size = len(kernel)
-            hyp = stable_reconstruct_cot(kernel, d, T)
+            hyp = stable_reconstruct_cot(kernel, cfg.d, T)
         predictions = tuple(hyp.e2e(x) for x in dist.support)
 
     truth = table[target_idx]

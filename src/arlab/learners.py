@@ -19,16 +19,20 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .classes import LinearParams, make_linear_generator, tail_encoding
-from .core import FiniteClass, Generator, cot_trace
+from .core import EvalCache, FiniteClass, Generator, cot_trace
 from .errors import (
     BoostingFailed,
-    HorizonExceeded,
     NotRealizable,
     NotSeparable,
     OriginMissing,
 )
 
-DEFAULT_HYPOTHESIS_HORIZON = 1 << 30
+HYPOTHESIS_HORIZON = 1 << 30
+# cot_compress's boosting budget, voter-subset scale and reweighting
+BOOST_ROUNDS = 256
+BOOST_RETRIES = 20
+S_MULTIPLIER = 12
+WEIGHT_FACTOR = 2.0
 
 
 class LabeledBit(NamedTuple):
@@ -98,35 +102,6 @@ def deflate(inflated: Iterable[LabeledBit], S: CotSample) -> CotSample:
     return CotSample(tuple(S[i] for i in sorted(origins)), S.T)
 
 
-class EvalCache:
-    """Per-class memo of next-bit predictions, packed as generator bitmasks.
-
-    ones(x) has bit g set iff generator g predicts '1' at x; ok_mask(x, y)
-    has bit g set iff generator g is consistent with the example (x, y).
-    """
-
-    def __init__(self, cls: FiniteClass):
-        self.cls = cls
-        self.full = (1 << len(cls)) - 1
-        self._ones: dict[str, int] = {}
-
-    def ones(self, x: str) -> int:
-        m = self._ones.get(x)
-        if m is None:
-            if len(x) >= self.cls.horizon:
-                raise HorizonExceeded(f"|x|={len(x)} >= horizon={self.cls.horizon}")
-            m = 0
-            for i, f in enumerate(self.cls):
-                if f.step(x) == "1":
-                    m |= 1 << i
-            self._ones[x] = m
-        return m
-
-    def ok_mask(self, x: str, y: str) -> int:
-        o = self.ones(x)
-        return o if y == "1" else ~o & self.full
-
-
 def _first_index(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
@@ -151,17 +126,17 @@ class CompressedCot:
     kernel: CotSample
     side_info: tuple[tuple[int, ...], ...]
 
-    def size_report(self, m_original: int, s: int | None = None) -> dict:
+    def size_report(self, m_original: int) -> dict:
         """Index-list cost as stored, and the information-theoretic s*n*log m
-        estimate for the side information."""
+        estimate for the side information, s the largest voter subset."""
         import math
 
         n = len(self.side_info)
         k = len(self.kernel)
         per_index = math.ceil(math.log2(k)) if k > 1 else 1
         index_bits = sum(len(a) for a in self.side_info) * per_index
-        s_eff = s if s is not None else max((len(a) for a in self.side_info), default=0)
-        info_bits = s_eff * n * math.log2(m_original) if m_original > 1 else 0.0
+        s = max((len(a) for a in self.side_info), default=0)
+        info_bits = s * n * math.log2(m_original) if m_original > 1 else 0.0
         return {
             "kernel_size": k,
             "n_voters": n,
@@ -216,26 +191,22 @@ def _base_vc_estimate(cache: EvalCache, xs: Sequence[str]) -> int:
 def cot_compress(
     cls: FiniteClass,
     S: CotSample,
-    s: int | None = None,
-    n_max: int = 256,
     rng_seed: int = 0,
-    retry_cap: int = 20,
-    weight_factor: float = 2.0,
-    s_multiplier: int = 12,
     cache: EvalCache | None = None,
 ) -> CompressedCot:
     """Compress a realizable CoT sample to voter subsets A_1..A_n of size <= s
     each, such that the unweighted majority of the ERM voters h_j =
-    erm(inflate(A_j)) labels every inflated example correctly.
+    erm(inflate(A_j)) labels every inflated example correctly; s is
+    S_MULTIPLIER times the base VC estimate of the inflated prompts.
 
-    Boosting over the inflated sample: each round draws s inflated examples
-    from the current weight distribution, deflates them to original CoT
-    examples, takes the ERM voter, and requires weighted error <= 1/3
-    (redrawing up to retry_cap times); weights of misclassified examples are
-    multiplied by weight_factor and renormalized. Before the first round the
-    first generator in class order (the ERM of the empty set) is tried, so
-    trivially compressible inputs get n = 1, A_1 = empty. Deterministic for a
-    fixed rng_seed.
+    Boosting over the inflated sample: each of at most BOOST_ROUNDS rounds
+    draws s inflated examples from the current weight distribution, deflates
+    them to original CoT examples, takes the ERM voter, and requires weighted
+    error <= 1/3 (redrawing up to BOOST_RETRIES times); weights of
+    misclassified examples are multiplied by WEIGHT_FACTOR and renormalized.
+    Before the first round the first generator in class order (the ERM of
+    the empty set) is tried, so trivially compressible inputs get n = 1,
+    A_1 = empty. Deterministic for a fixed rng_seed.
     """
     cache = cache or EvalCache(cls)
     U = inflate(S)
@@ -249,8 +220,7 @@ def cot_compress(
     if all(m & 1 for m in ok):
         return CompressedCot(CotSample((), S.T), ((),))
 
-    if s is None:
-        s = s_multiplier * max(1, _base_vc_estimate(cache, [e.x for e in U]))
+    s = S_MULTIPLIER * max(1, _base_vc_estimate(cache, [e.x for e in U]))
 
     org_mask = {}
     for e, m in zip(U, ok):
@@ -263,9 +233,9 @@ def cot_compress(
     voters: list[tuple[tuple[int, ...], int]] = []
     votes1 = [0] * mU
 
-    for _ in range(n_max):
+    for _ in range(BOOST_ROUNDS):
         accepted = None
-        for _attempt in range(retry_cap):
+        for _attempt in range(BOOST_RETRIES):
             draw = rng.choices(idx, weights=w, k=s)
             origins = tuple(sorted({U[i].origin for i in draw}))
             mask = cache.full
@@ -278,12 +248,12 @@ def cot_compress(
                 break
         if accepted is None:
             raise BoostingFailed(
-                f"retry cap {retry_cap} exhausted; s={s} may be too small"
+                f"retry cap {BOOST_RETRIES} exhausted; s={s} may be too small"
             )
         origins, g, errs = accepted
         voters.append((origins, g))
         for i in errs:
-            w[i] *= weight_factor
+            w[i] *= WEIGHT_FACTOR
         tot = sum(w)
         w = [v / tot for v in w]
         n = len(voters)
@@ -297,7 +267,7 @@ def cot_compress(
             pos = {o: j for j, o in enumerate(kernel_origins)}
             side = tuple(tuple(pos[o] for o in origins) for origins, _ in voters)
             return CompressedCot(kernel, side)
-    raise BoostingFailed(f"no correct majority within n_max={n_max} rounds")
+    raise BoostingFailed(f"no correct majority within {BOOST_ROUNDS} rounds")
 
 
 def cot_reconstruct(
@@ -500,12 +470,7 @@ def stable_compress_cot(S: CotSample, d: int) -> CotSample:
     return deflate(support, S)
 
 
-def stable_reconstruct_cot(
-    K: CotSample | None,
-    d: int,
-    T: int,
-    horizon: int = DEFAULT_HYPOTHESIS_HORIZON,
-) -> CotHypothesis:
+def stable_reconstruct_cot(K: CotSample | None, d: int, T: int) -> CotHypothesis:
     """T-step iteration of the max-margin separator of the inflated kernel.
 
     An empty kernel reconstructs to the constant-1 rule (w = 0, b = 1)."""
@@ -513,4 +478,4 @@ def stable_reconstruct_cot(
         params = LinearParams.of((0,) * d, 1)
     else:
         params, _ = max_margin(inflate(K), d)
-    return CotHypothesis(make_linear_generator(params, horizon), T)
+    return CotHypothesis(make_linear_generator(params, HYPOTHESIS_HORIZON), T)

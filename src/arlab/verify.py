@@ -24,27 +24,22 @@ from .core import FiniteClass, cot_trace
 # ---------------------------------------------------------------------------
 
 
-def random_tree(
-    rng: random.Random,
-    depth: int,
-    p_both: float = 0.4,
-    p_one: float = 0.5,
-    node_cap: int = 63,
-) -> frozenset[str]:
-    """Random prefix-closed binary tree of depth <= depth with <= node_cap
-    nodes; grown breadth-first, expansion stops once the cap is reached."""
+def random_tree(rng: random.Random, depth: int) -> frozenset[str]:
+    """Random prefix-closed binary tree of depth <= depth with <= 63 nodes;
+    grown breadth-first, a node gets two children with probability 0.4 and
+    one with probability 0.5, and expansion stops once the cap is reached."""
     paths = {""}
     frontier = [""]
     count = 1
     for _ in range(depth):
         nxt = []
         for p in frontier:
-            if count + 2 > node_cap:
+            if count + 2 > 63:
                 break
             u = rng.random()
-            if u < p_both:
+            if u < 0.4:
                 kids = ["0", "1"]
-            elif u < p_both + p_one:
+            elif u < 0.9:
                 kids = [rng.choice("01")]
             else:
                 kids = []

@@ -148,6 +148,21 @@ EXIT_CASES = [
                  SHIFTED, None, 2, id="domain-duplicate"),
     pytest.param(["dims", "--spec", "SPEC", "--domain", "chain:5", "--T", "6"],
                  FULL8, None, 2, id="T-beyond-horizon"),
+    # a prompt of length H has no next bit, one longer than H neither
+    pytest.param(["dims", "--spec", "SPEC", "--domain", "0000,1", "--which",
+                  "littlestone"], {"type": "full", "horizon": 4}, None, 2,
+                 id="littlestone-prompt-at-horizon"),
+    pytest.param(["dims", "--spec", "SPEC", "--domain", "00000,1", "--which",
+                  "vc_dual"], {"type": "full", "horizon": 4}, None, 2,
+                 id="vc-dual-prompt-beyond-horizon"),
+    pytest.param(["dims", "--spec", "SPEC", "--domain", "chain:1"],
+                 {"type": "full", "horizon": 1}, None, 2, id="spec-horizon-too-small"),
+    pytest.param(["dims", "--spec", "SPEC", "--domain", "chain:2", "--T", "0"],
+                 SHIFTED, None, 2, id="T-zero"),
+    pytest.param(["sweep", "--spec", "SPEC", "--Ts", "1,0", "--mode", "e2e",
+                  "--learner", "erm_e2e"], SHIFTED, None, 2, id="Ts-zero"),
+    pytest.param(["sweep", "--spec", "SPEC", "--Ts", "1", "--mode", "e2e",
+                  "--learner", "erm_e2e", "--R", "0"], SHIFTED, None, 2, id="R-zero"),
     pytest.param(["dims", "--spec", "SPEC", "--domain", "chain:2", "--T", "1",
                   "--which", "vc_base", "--cap", "1000"],
                  {"type": "full", "horizon": 18}, None, 3, id="cap"),

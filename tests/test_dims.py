@@ -10,14 +10,25 @@ from hypothesis import given, settings, strategies as st
 from arlab import dims, verify
 from arlab.classes import (
     IntervalSet,
+    RateTable,
     constant_class,
+    enumerate_linear_class,
     make_atdim_example_class,
     make_full_class,
     make_parity_class,
+    make_product_class,
     make_shifted_subset_class,
+    make_taxonomy_class,
     atdim_node_label,
+    relocation_prefixes,
 )
-from arlab.core import FiniteClass, TableGenerator, full_generation_tree, realized_trace_tree
+from arlab.core import (
+    EvalCache,
+    FiniteClass,
+    TableGenerator,
+    full_generation_tree,
+    realized_trace_tree,
+)
 from arlab.dims import (
     arl_bound_check,
     atdim_realized,
@@ -36,7 +47,7 @@ from arlab.dims import (
     restrict_e2e,
     vc_dimension,
 )
-from arlab.errors import DepthCapExceeded, SearchCapExceeded
+from arlab.errors import DepthCapExceeded, HorizonExceeded, SearchCapExceeded
 
 # The running example tree from the leveled-subtree illustration: a depth-4
 # tree whose deepest perfect leveled subtree has depth exactly 2.
@@ -138,6 +149,49 @@ def test_dual_vc_examples():
     for m in (2, 4):
         cls, dom = all_labelings_class(m)
         assert dual_vc_dimension(cls, dom) == int(math.log2(m))
+
+
+def _mask_oracle_cases():
+    rng = random.Random(5)
+    cases = [verify._random_small_class(rng) for _ in range(40)]
+    part = make_shifted_subset_class(IntervalSet((1, 3)), s_max=0, H=8)
+    prod = make_product_class([part, part])
+    cases += [
+        (make_full_class(6), chain_domain(4)),
+        (make_shifted_subset_class(IntervalSet((1, 3, 4)), s_max=4, H=16), chain_domain(8)),
+        (prod, tuple(p + "0" * t for p in relocation_prefixes(2) for t in range(1, 4))),
+        (enumerate_linear_class(2, 1, H=8), ("", "0", "1", "01", "110")),
+        (make_parity_class(3, H=16), ("01", "001", "0001", "011", "11")),
+        (make_atdim_example_class(3, H=32), tuple(atdim_node_label(i) for i in range(1, 16))),
+        (make_taxonomy_class(RateTable((1, 2, 2)), 3, 12), chain_domain(4)),
+        (FiniteClass((), 8), chain_domain(3)),
+        (make_full_class(6), ()),
+    ]
+    return cases
+
+
+def test_eval_cache_masks_match_step_and_dual_vc_definition():
+    # EvalCache is the one mask builder; tie it to Generator.step, and the
+    # mask-based dual VC to its definition on per-prompt step rows
+    for cls, dom in _mask_oracle_cases():
+        cache = EvalCache(cls)
+        for x in dom:
+            m = cache.ones(x)
+            assert all((m >> g & 1) == (f.step(x) == "1") for g, f in enumerate(cls))
+            assert m >> len(cls) == 0
+        rows = {tuple(f.step(x) for f in cls) for x in dom}
+        assert dual_vc_dimension(cls, dom) == vc_dimension(rows)
+
+
+def test_mask_searches_reject_prompts_beyond_horizon():
+    full = make_full_class(4)
+    for dom in (("0000", "1"), ("00000",)):
+        with pytest.raises(HorizonExceeded):
+            littlestone_dimension(full, dom)
+        with pytest.raises(HorizonExceeded):
+            dual_vc_dimension(full, dom)
+    with pytest.raises(HorizonExceeded):
+        atdim_shattered(full, "00", 3, 1)
 
 
 def test_dual_vc_assouad_bound():
@@ -298,9 +352,9 @@ def test_leveled_depth_monotone_under_growth():
 
 def test_leaf_count_bound():
     perfect = full_generation_tree("", 4)
-    assert leaf_count_bound_check(perfect, d=4)
+    assert leaf_count_bound_check(perfect)
     path = frozenset("0" * i for i in range(5))
-    assert leaf_count_bound_check(path, d=0)
+    assert leaf_count_bound_check(path)
     rng = random.Random(9)
     for _ in range(60):
         t = verify.random_tree(rng, 8)

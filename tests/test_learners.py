@@ -142,13 +142,15 @@ def test_compress_not_realizable():
         cot_compress(both, CotSample((("", "01"),), 2), rng_seed=0)
 
 
-def test_compress_budget_exhaustion():
+def test_compress_budget_exhaustion(monkeypatch):
+    from arlab import learners
     from arlab.errors import BoostingFailed
 
     # consistent generators exist but zero rounds are allowed
+    monkeypatch.setattr(learners, "BOOST_ROUNDS", 0)
     S = CotSample((("", "11"),), 2)
     with pytest.raises(BoostingFailed):
-        cot_compress(both, S, n_max=0, rng_seed=0)
+        cot_compress(both, S, rng_seed=0)
 
 
 def test_compress_deterministic():
