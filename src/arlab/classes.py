@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .core import (
@@ -20,6 +21,7 @@ from .core import (
     Generator,
     SequenceGenerator,
     TableGenerator,
+    ones_by_step,
 )
 from .errors import (
     EnumerationTooLarge,
@@ -209,6 +211,43 @@ class ProductGenerator(Generator):
         return ("product", self.prefixes, tuple(f.behavior_key() for f in self.parts))
 
 
+@dataclass(frozen=True)
+class ProductClass(FiniteClass):
+    """A make_product_class result; it keeps its parts for the mask rule."""
+
+    parts: tuple[FiniteClass, ...] = field(default=(), compare=False, repr=False)
+
+    @cached_property
+    def mask_rule(self):
+        """The routed part's mask, lifted: with the last part varying fastest,
+        generator i uses member (i // stride_j) % n_j of part j, stride_j the
+        product of the later parts' sizes. So each part bit spreads to a run
+        of stride_j bits and the run pattern repeats across the class."""
+        if not self.generators:
+            return None
+        prefixes = relocation_prefixes(len(self.parts))
+        routes = []
+        stride = len(self)
+        for p, part in zip(prefixes, self.parts):
+            n = len(part)
+            stride //= n
+            rule = part.mask_rule
+            if rule is None:
+                rule = lambda x, part=part: ones_by_step(part, x)
+            spread = {ord("0"): "0" * stride, ord("1"): "1" * stride}
+            routes.append((p, rule, n, spread, len(self) // (n * stride)))
+
+        def ones(x: str) -> int:
+            for p, rule, n, spread, repeats in routes:
+                if x.startswith(p):
+                    # most significant bit first, so the part's member n-1 leads
+                    run = format(rule(x[len(p):]), f"0{n}b").translate(spread)
+                    return int(run * repeats, 2)
+            return 0
+
+        return ones
+
+
 def relocation_prefixes(k: int) -> tuple[str, ...]:
     """The prefix-incomparable code 0^i 1 for i = 1..k."""
     return tuple("0" * i + "1" for i in range(1, k + 1))
@@ -237,7 +276,7 @@ def make_product_class(
         ProductGenerator(parts=tup, prefixes=prefixes, horizon=horizon)
         for tup in members
     )
-    return FiniteClass(gens, horizon)
+    return ProductClass(gens, horizon, tuple(parts))
 
 
 def make_taxonomy_class(
@@ -421,6 +460,33 @@ class ParityGenerator(Generator):
         return ("parity", self.b)
 
 
+class ParityClass(FiniteClass):
+    """A make_parity_class result: generator i has b = i in k_max binary
+    digits, which fixes the mask rule."""
+
+    @cached_property
+    def mask_rule(self):
+        """On the question prompt 0^k 1 generator i emits bit k_max - k of i:
+        runs of 2^(k_max - k) zeros then as many ones, repeating. On an A
+        prompt every generator emits 0; on a B prompt all emit its y."""
+        k_max = len(self.generators[0].b)
+        n = len(self)
+
+        def ones(x: str) -> int:
+            hit = _parse_parity(x, k_max)
+            if hit is None:
+                return 0
+            tag, k, y = hit
+            if tag == "Q":
+                run = 1 << (k_max - k)
+                return int(("1" * run + "0" * run) * (n // (2 * run)), 2)
+            if tag == "B" and y == "1":
+                return (1 << n) - 1
+            return 0
+
+        return ones
+
+
 def make_parity_class(k_max: int, H: int, cap: int = DEFAULT_CAP) -> FiniteClass:
     """One generator per b in {0,1}^{k_max}, ordered lexicographically by b."""
     if k_max < 1:
@@ -430,7 +496,7 @@ def make_parity_class(k_max: int, H: int, cap: int = DEFAULT_CAP) -> FiniteClass
         ParityGenerator(b=format(i, f"0{k_max}b"), horizon=H)
         for i in range(2**k_max)
     )
-    return FiniteClass(gens, H)
+    return ParityClass(gens, H)
 
 
 def atdim_node_label(i: int) -> str:

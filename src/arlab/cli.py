@@ -259,6 +259,7 @@ def cmd_dims(args) -> int:
     cls = load_class(args.spec, args.cap)
     domain = parse_domain(args.domain)
     _flag_positive("--T", args.T)
+    _flag_positive("--depth-cap", args.depth_cap)
     wanted = DIM_NAMES if args.which == "all" else (args.which,)
     rows = []
     for name in wanted:
@@ -292,6 +293,8 @@ def cmd_taxonomy(args) -> int:
 
 
 def cmd_learn(args) -> int:
+    if args.d is not None:
+        _flag_positive("-d", args.d)
     cls = load_class(args.spec, args.cap)
     pairs = read_sample_csv(args.sample)
     if not pairs:
@@ -342,6 +345,10 @@ def cmd_sweep(args) -> int:
     _flag_positive("--R", args.R)
     Ts = _flag_ints("--Ts", args.Ts) if args.Ts else []
     _flag_positive("--Ts", *Ts)
+    if args.d is not None:
+        _flag_positive("-d", args.d)
+    if args.m_cap < 0:
+        raise SpecParseError(f"--m-cap must be >= 0, got {args.m_cap}")
     cls = load_class(args.spec, args.cap)
     dist = harness.Distribution.uniform(parse_domain(args.support))
     try:

@@ -10,9 +10,10 @@ raises HorizonExceeded rather than silently truncating.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import HorizonExceeded
 
@@ -122,6 +123,52 @@ class FiniteClass:
     def __getitem__(self, i: int) -> Generator:
         return self.generators[i]
 
+    @cached_property
+    def mask_rule(self) -> Callable[[str], int] | None:
+        """Closed-form next-bit mask x -> (bit g set iff generator g emits 1
+        at x), or None when only the per-generator loop (ones_by_step)
+        applies. Built on first use, not by the constructors; constructions
+        with their own closed form override it."""
+        gens = self.generators
+        if gens and all(type(g) is SequenceGenerator for g in gens):
+            return sequence_mask_rule([g.seq for g in gens])
+        return None
+
+
+def ones_by_step(cls: FiniteClass, x: str) -> int:
+    """Definition-level next-bit mask: one step call per generator. The
+    fallback for classes without a mask_rule, and the oracle for the rules."""
+    m = 0
+    for i, f in enumerate(cls):
+        if f.step(x) == "1":
+            m |= 1 << i
+    return m
+
+
+def sequence_mask_rule(seqs: list[str]) -> Callable[[str], int]:
+    """Next-bit mask of sequence followers: g emits 1 at x iff seqs[g] starts
+    with x + "1", a contiguous run of the sorted sequences (they are bit
+    strings, so exactly those s with x + "1" <= s < x + "2"). Sequences
+    already in order, as in make_full_class, give one bit range; otherwise
+    the run is mapped back through the sorting permutation."""
+    if all(a <= b for a, b in zip(seqs, seqs[1:])):
+        order = None
+    else:
+        order = sorted(range(len(seqs)), key=seqs.__getitem__)
+        seqs = [seqs[i] for i in order]
+
+    def ones(x: str) -> int:
+        lo = bisect_left(seqs, x + "1")
+        hi = bisect_left(seqs, x + "2", lo)
+        if order is None:
+            return ((1 << (hi - lo)) - 1) << lo
+        m = 0
+        for g in order[lo:hi]:
+            m |= 1 << g
+        return m
+
+    return ones
+
 
 def dedupe_class(cls: FiniteClass) -> FiniteClass:
     """Drop structurally duplicate generators, keeping first occurrences.
@@ -170,7 +217,8 @@ class EvalCache:
 
     ones(x) has bit g set iff generator g predicts '1' at x; ok_mask(x, y)
     has bit g set iff generator g is consistent with the example (x, y).
-    This is the one place that evaluates a whole class at a prompt.
+    Masks come from the class's mask_rule when it has one, else from
+    ones_by_step, the one loop of step calls over a class.
     """
 
     def __init__(self, cls: FiniteClass):
@@ -183,10 +231,8 @@ class EvalCache:
         if m is None:
             if len(x) >= self.cls.horizon:
                 raise HorizonExceeded(f"|x|={len(x)} >= horizon={self.cls.horizon}")
-            m = 0
-            for i, f in enumerate(self.cls):
-                if f.step(x) == "1":
-                    m |= 1 << i
+            rule = self.cls.mask_rule
+            m = rule(x) if rule is not None else ones_by_step(self.cls, x)
             self._ones[x] = m
         return m
 

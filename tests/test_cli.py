@@ -116,6 +116,7 @@ def test_taxonomy_wide_rate(capsys):
 
 
 FULL8 = {"type": "full", "horizon": 8}
+LINEAR1 = {"type": "linear_grid", "d": 1, "weight_bound": 1, "horizon": 16}
 
 # (argv, spec written to SPEC, sample rows written to SAMPLE, exit code)
 EXIT_CASES = [
@@ -163,6 +164,20 @@ EXIT_CASES = [
                   "--learner", "erm_e2e"], SHIFTED, None, 2, id="Ts-zero"),
     pytest.param(["sweep", "--spec", "SPEC", "--Ts", "1", "--mode", "e2e",
                   "--learner", "erm_e2e", "--R", "0"], SHIFTED, None, 2, id="R-zero"),
+    pytest.param(["learn", "--spec", "SPEC", "--sample", "SAMPLE", "--learner",
+                  "linear_stable", "-d", "0"], LINEAR1, [("0", "01")], 2, id="learn-d-zero"),
+    pytest.param(["sweep", "--spec", "SPEC", "--Ts", "1", "--mode", "cot", "--learner",
+                  "linear_stable", "-d", "0", "--R", "2"], LINEAR1, None, 2,
+                 id="sweep-d-zero"),
+    pytest.param(["dims", "--spec", "SPEC", "--domain", "chain:2", "--which",
+                  "littlestone", "--depth-cap", "0"], SHIFTED, None, 2, id="depth-cap-zero"),
+    # a negative cap never runs out, so the search would run uncapped
+    pytest.param(["dims", "--spec", "SPEC", "--domain", "chain:2", "--which",
+                  "littlestone", "--depth-cap", "-1"], SHIFTED, None, 2,
+                 id="depth-cap-negative"),
+    pytest.param(["sweep", "--spec", "SPEC", "--Ts", "1", "--mode", "e2e",
+                  "--learner", "erm_e2e", "--m-cap", "-1", "--R", "2"], SHIFTED, None, 2,
+                 id="m-cap-negative"),
     pytest.param(["dims", "--spec", "SPEC", "--domain", "chain:2", "--T", "1",
                   "--which", "vc_base", "--cap", "1000"],
                  {"type": "full", "horizon": 18}, None, 3, id="cap"),
