@@ -277,6 +277,11 @@ def cmd_dims(args) -> int:
         else:
             val = dims.atdim_realized(cls, domain, args.T)
         rows.append((name, val, f"{(time.perf_counter() - t0) * 1e3:.3f}"))
+        if name == "littlestone" and val == args.depth_cap:
+            deeper = dims.littlestone_dimension(cls, domain, depth_cap=val + 1)
+            if deeper > val:
+                print(f"warning: littlestone search truncated at --depth-cap {val}; "
+                      "the value is a lower bound", file=sys.stderr)
     write_csv(("dimension", "value", "wall_time_ms"), rows)
     return EXIT_OK
 

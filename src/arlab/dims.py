@@ -1,10 +1,14 @@
-"""Brute-force combinatorial dimensions over explicit finite restrictions.
+"""Exact combinatorial dimensions over explicit finite restrictions.
 
 Every quantity here is computed on an explicit finite domain of prompts, so
 each value is a lower bound for the corresponding dimension over the infinite
 domain; the test suites choose restrictions where the constructions certify
-tightness. Shattering searches scan subsets in lexicographic order of
-increasing size with early exit, so timings are reproducible.
+tightness. The shattering searches (VC, Natarajan, dual VC) share one
+depth-first cell search over bitsets: rows are the distinct patterns (or
+generators), a column is one row mask per label, and each column picked in
+increasing order splits every cell in two; a branch dies as soon as a cell
+would go empty. k columns are shattered iff all 2^k cells are nonempty, so
+the depth is capped at floor(log2 #rows).
 """
 
 from __future__ import annotations
@@ -132,66 +136,89 @@ def _refine(full: int, partitions: Iterable[list[tuple[str, int]]]) -> PatternSe
     return frozenset(pattern for pattern, _ in blocks)
 
 
+def _label_columns(patterns: Iterable[Pattern]) -> tuple[int, list[list[int]]]:
+    """The distinct patterns as rows 0..n-1 and, per coordinate, the row
+    masks of its labels: (n, columns). Rows are sorted so that the search
+    order, and its time, do not depend on string hashing."""
+    rows = sorted(set(patterns))
+    cols: list[dict] = [{} for _ in rows[0]] if rows else []
+    for r, p in enumerate(rows):
+        for col, label in zip(cols, p):
+            col[label] = col.get(label, 0) | 1 << r
+    return len(rows), [list(col.values()) for col in cols]
+
+
+def _rectangle(cells: list[int], first: list[int], second: list[int]) -> bool:
+    """True iff two labels of each column cut every cell into four nonempty
+    parts: per label a of the first column, a bitset over the second
+    column's labels that meet every cell together with a; two such bitsets
+    sharing two bits are the rectangle."""
+    rows = []
+    for a in first:
+        cut = [c & a for c in cells]
+        if all(cut):
+            rows.append(sum(1 << j for j, b in enumerate(second) if all(c & b for c in cut)))
+    return any((x & y).bit_count() > 1 for x, y in itertools.combinations(rows, 2))
+
+
+def _shatter(n_rows: int, columns: Iterable[list[int]]) -> int:
+    """Largest k such that k columns, each with two of its labels, cut the
+    rows 0..n_rows-1 into 2^k nonempty cells; a column is the list of its
+    labels' row masks. Only labels meeting every cell are paired, and the
+    last two columns of a branch are closed by one rectangle test per column
+    pair. Sizes are tried ascending (shattering is hereditary) up to
+    floor(log2 n_rows). Columns with one label, or repeating an earlier
+    column's partition, can never be added and are dropped."""
+    parts = dict.fromkeys(frozenset(m for m in labels if m) for labels in columns)
+    cols = [sorted(p) for p in parts if len(p) > 1]
+    cap = min(max(n_rows.bit_length() - 1, 0), len(cols))
+
+    def fits(cells: list[int], start: int, need: int) -> bool:
+        if need == 2:
+            return any(
+                _rectangle(cells, cols[i], cols[j])
+                for i in range(start, len(cols))
+                for j in range(i + 1, len(cols))
+            )
+        for i in range(start, len(cols) - need + 1):
+            cuts = [cut for cut in ([c & m for c in cells] for m in cols[i]) if all(cut)]
+            for a, b in itertools.combinations(cuts, 2):
+                if fits(a + b, i + 1, need - 1):
+                    return True
+        return False
+
+    k = min(cap, 1)  # any kept column splits all rows in two
+    while k < cap and fits([(1 << n_rows) - 1], 0, k + 1):
+        k += 1
+    return k
+
+
 def vc_dimension(patterns: Iterable[Pattern]) -> int:
     """Largest k such that some k coordinates carry all 2^k binary
-    sub-patterns. Subsets are scanned lexicographically, size ascending,
-    stopping at the first size with no shattered subset."""
-    pats = list(set(patterns))
-    if not pats:
-        return 0
-    m = len(pats[0])
-    d = 0
-    for k in range(1, m + 1):
-        found = False
-        for cols in itertools.combinations(range(m), k):
-            proj = {tuple(p[c] for c in cols) for p in pats}
-            if len(proj) == 2**k:
-                found = True
-                break
-        if not found:
-            break
-        d = k
-    return d
+    sub-patterns, by the cell search capped at floor(log2 #patterns).
+    Raises ValueError when a coordinate carries more than two labels."""
+    n, cols = _label_columns(patterns)
+    if any(len(labels) > 2 for labels in cols):
+        raise ValueError("vc_dimension needs at most two labels per coordinate")
+    return _shatter(n, cols)
 
 
 def natarajan_dimension(patterns: Iterable[Pattern]) -> int:
     """Largest k admitting coordinates and reference labelings h1 != h2
-    (pointwise) realizing all 2^k mixtures. Both references are themselves
-    realized patterns (take the full and empty mixtures), so the search runs
-    over realized pattern pairs."""
-    pats = list(set(patterns))
-    if not pats:
-        return 0
-    m = len(pats[0])
-    d = 0
-    for k in range(1, m + 1):
-        found = False
-        for cols in itertools.combinations(range(m), k):
-            proj = sorted({tuple(p[c] for c in cols) for p in pats})
-            pset = set(proj)
-            for h1, h2 in itertools.permutations(proj, 2):
-                if any(a == b for a, b in zip(h1, h2)):
-                    continue
-                if all(
-                    tuple(h1[i] if mask >> i & 1 else h2[i] for i in range(k)) in pset
-                    for mask in range(2**k)
-                ):
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
-            break
-        d = k
-    return d
+    (pointwise) realizing all 2^k mixtures, by the cell search capped at
+    floor(log2 #patterns): at each coordinate one unordered pair of labels
+    stands for the values of h1 and h2 there."""
+    return _shatter(*_label_columns(patterns))
 
 
 def dual_vc_dimension(cls: FiniteClass, domain: Sequence[str]) -> int:
-    """VC dimension of the transposed evaluation matrix: one pattern per
-    prompt, coordinates indexed by generators."""
+    """VC dimension of the transposed evaluation matrix: the cell search
+    with one row per distinct prompt mask and one column per generator."""
     cache = EvalCache(cls)
-    masks = {cache.ones(x) for x in check_domain(domain)}
-    return vc_dimension(tuple(m >> g & 1 for g in range(len(cls))) for m in masks)
+    masks = sorted({cache.ones(x) for x in check_domain(domain)})
+    rows = (1 << len(masks)) - 1
+    cols = (sum(1 << r for r, m in enumerate(masks) if m >> g & 1) for g in range(len(cls)))
+    return _shatter(len(masks), ([c, rows ^ c] for c in cols))
 
 
 def littlestone_dimension(
@@ -232,19 +259,18 @@ def littlestone_dimension(
 
 def growth_function(patterns: Iterable[Pattern], m: int) -> int:
     """max over size-m coordinate subsets of the number of distinct
-    sub-patterns; m = 0 gives 1."""
-    pats = list(set(patterns))
+    sub-patterns, counted as the blocks left after refining the distinct
+    patterns by the subset's label masks; m = 0 gives 1."""
+    n, cols = _label_columns(patterns)
     if m == 0:
         return 1
-    arity = len(pats[0]) if pats else 0
-    if m > arity:
-        raise ValueError(f"m={m} exceeds domain size {arity}")
-    best = 0
-    for cols in itertools.combinations(range(arity), m):
-        c = len({tuple(p[i] for i in cols) for p in pats})
-        if c > best:
-            best = c
-    return best
+    if m > len(cols):
+        raise ValueError(f"m={m} exceeds domain size {len(cols)}")
+    parts = [list(enumerate(labels)) for labels in cols]
+    return max(
+        len(_refine((1 << n) - 1, (parts[c] for c in sub)))
+        for sub in itertools.combinations(range(len(cols)), m)
+    )
 
 
 def tree_paths(tree) -> frozenset[str]:

@@ -20,6 +20,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .classes import LinearParams, make_linear_generator, tail_encoding
 from .core import EvalCache, FiniteClass, Generator, cot_trace
+from .dims import _shatter
 from .errors import (
     BoostingFailed,
     NotRealizable,
@@ -177,15 +178,11 @@ class CotHypothesis:
 
 
 def _base_vc_estimate(cache: EvalCache, xs: Sequence[str]) -> int:
-    from .dims import vc_dimension
-
-    cols = list(dict.fromkeys(xs))
-    masks = [cache.ones(x) for x in cols]
-    pats = {
-        tuple("1" if m >> g & 1 else "0" for m in masks)
-        for g in range(len(cache.cls))
-    }
-    return vc_dimension(pats)
+    """VC dimension of the base class on the distinct prompts: the cell
+    search with generators as rows and each prompt's next-bit mask as a
+    column."""
+    cols = [[m, cache.full ^ m] for m in map(cache.ones, dict.fromkeys(xs))]
+    return _shatter(len(cache.cls), cols)
 
 
 def cot_compress(

@@ -116,6 +116,8 @@ def test_taxonomy_wide_rate(capsys):
 
 
 FULL8 = {"type": "full", "horizon": 8}
+F13 = {"type": "shifted_subset", "N": [1, 3], "s_max": 8, "horizon": 16}
+AC4_PRODUCT = {"type": "product", "parts": [F13, F13]}
 LINEAR1 = {"type": "linear_grid", "d": 1, "weight_bound": 1, "horizon": 16}
 
 # (argv, spec written to SPEC, sample rows written to SAMPLE, exit code)
@@ -182,6 +184,9 @@ EXIT_CASES = [
                   "--which", "vc_base", "--cap", "1000"],
                  {"type": "full", "horizon": 18}, None, 3, id="cap"),
     pytest.param(["taxonomy", "--rate", "2,1"], None, None, 4, id="rate-invalid"),
+    # 1,296 generator columns: the dual search finishes
+    pytest.param(["dims", "--spec", "SPEC", "--domain", "010,0100,01000,0010,00100,001000",
+                  "--which", "vc_dual"], AC4_PRODUCT, None, 0, id="vc-dual-product"),
     # one prompt, two different final bits
     pytest.param(["learn", "--spec", "SPEC", "--sample", "SAMPLE",
                   "--learner", "erm_e2e"],
@@ -199,6 +204,29 @@ def test_exit_code(tmp_path, capsys, argv, spec, sample, code):
     rc, _, err = run_main([files.get(a, a) for a in argv], capsys)
     assert rc == code, err
     assert ("error: " in err) == (code >= 2)
+
+
+@pytest.mark.parametrize(
+    "spec, domain, cap, value, warned",
+    [
+        (FULL8, "0,1,00,01,10,11", "1", "1", True),
+        # the value equals the cap, but one level deeper finds no more
+        (SHIFTED, "chain:8", "1", "1", False),
+        (FULL8, "0,1,00,01,10,11", "12", "2", False),
+    ],
+    ids=["truncated", "at-cap-exact", "below-cap"],
+)
+def test_dims_littlestone_truncation_warning(tmp_path, capsys, spec, domain, cap, value, warned):
+    rc, out, err = run_main(
+        ["dims", "--spec", write_spec(tmp_path, spec), "--domain", domain,
+         "--which", "littlestone", "--depth-cap", cap],
+        capsys,
+    )
+    assert rc == 0
+    rows = list(csv.reader(out.splitlines()))
+    assert rows[0] == ["dimension", "value", "wall_time_ms"]
+    assert rows[1][:2] == ["littlestone", value]
+    assert err.count("warning: ") == int(warned)
 
 
 def test_verify_sauer(capsys):
