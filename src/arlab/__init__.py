@@ -15,7 +15,6 @@ from .core import (
     TraceTrie,
     apply_and_append,
     cot_trace,
-    dedupe_class,
     e2e_output,
     full_generation_tree,
     realized_trace_tree,

@@ -207,9 +207,6 @@ class ProductGenerator(Generator):
                 return f.step(x[len(p):])
         return "0"
 
-    def behavior_key(self):
-        return ("product", self.prefixes, tuple(f.behavior_key() for f in self.parts))
-
 
 @dataclass(frozen=True)
 class ProductClass(FiniteClass):
@@ -380,9 +377,6 @@ class LinearGenerator(Generator):
                 acc += w[-i]
         return "1" if acc >= 0 else "0"
 
-    def behavior_key(self):
-        return ("linear", self.params)
-
 
 def make_linear_generator(p: LinearParams, H: int) -> LinearGenerator:
     if p.d < 1:
@@ -455,9 +449,6 @@ class ParityGenerator(Generator):
         if tag == "A":
             return "0"
         return y
-
-    def behavior_key(self):
-        return ("parity", self.b)
 
 
 class ParityClass(FiniteClass):

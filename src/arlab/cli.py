@@ -155,7 +155,7 @@ def _flag_probability(flag: str, text: str) -> Fraction:
     raise SpecParseError(f"{flag} must be a fraction in [0, 1], got {text!r}")
 
 
-def parse_domain(text: str) -> tuple[str, ...]:
+def parse_domain(text: str, flag: str = "--domain") -> tuple[str, ...]:
     """Either 'chain:K' (prompts 0^1..0^K) or a comma-separated prompt list
     where '-' stands for the empty prompt; prompts must be distinct."""
     if text.startswith("chain:"):
@@ -163,6 +163,8 @@ def parse_domain(text: str) -> tuple[str, ...]:
             k = int(text.split(":", 1)[1])
         except ValueError as e:
             raise SpecParseError(f"bad chain domain {text!r}") from e
+        if k < 0:
+            raise SpecParseError(f"{flag} {text}: K must be >= 0")
         return dims.chain_domain(k)
     toks = (tok.strip() for tok in text.split(","))
     try:
@@ -195,6 +197,8 @@ def write_bitstring_csv(path: str, header, rows):
 
 
 def read_sample_csv(path: str) -> list[tuple[str, str]]:
+    """The (prompt, trace) rows of a sample file: bit strings, with nonempty
+    traces all of the first trace's length."""
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
         header = next(rd, None)
@@ -206,7 +210,16 @@ def read_sample_csv(path: str) -> list[tuple[str, str]]:
                 continue
             if len(row) < 2:
                 raise SpecParseError(f"sample row {row!r} lacks a trace column")
-            out.append((check_bitstring(row[0]), check_bitstring(row[1])))
+            try:
+                x, y = check_bitstring(row[0]), check_bitstring(row[1])
+            except ValueError as e:
+                raise SpecParseError(str(e)) from e
+            if not y:
+                raise SpecParseError(f"sample row {row!r} has an empty trace")
+            if out and len(y) != len(out[0][1]):
+                T = len(out[0][1])
+                raise SpecParseError(f"trace {y!r} has length {len(y)} != T={T}")
+            out.append((x, y))
     return out
 
 
@@ -256,10 +269,10 @@ DIM_NAMES = ("vc_base", "vc_e2e", "nat_cot", "vc_dual", "littlestone", "atdim")
 
 
 def cmd_dims(args) -> int:
-    cls = load_class(args.spec, args.cap)
     domain = parse_domain(args.domain)
     _flag_positive("--T", args.T)
     _flag_positive("--depth-cap", args.depth_cap)
+    cls = load_class(args.spec, args.cap)
     wanted = DIM_NAMES if args.which == "all" else (args.which,)
     rows = []
     for name in wanted:
@@ -287,6 +300,10 @@ def cmd_dims(args) -> int:
 
 
 def cmd_taxonomy(args) -> int:
+    if args.Tmax is not None:
+        _flag_positive("--Tmax", args.Tmax)
+    if args.smax is not None and args.smax < 0:
+        raise SpecParseError(f"--smax must be >= 0, got {args.smax}")
     rate = classes.RateTable(tuple(_flag_ints("--rate", args.rate)))
     t_max = args.Tmax or rate.t_max
     if t_max > rate.t_max:
@@ -312,7 +329,7 @@ def cmd_learn(args) -> int:
         prompts = tuple(dict.fromkeys(x for x, _ in S))
         pos = {x: i for i, x in enumerate(prompts)}
         table = harness._e2e_table(cls, T, prompts)
-        g = harness._erm_e2e_index(table, [(pos[x], y[-1]) for x, y in S])
+        g = harness._erm_e2e_index(len(cls), table, [(pos[x], y[-1]) for x, y in S])
         hyp = learners.CotHypothesis(cls[g], T)
     elif args.learner == "cot_compress":
         comp = learners.cot_compress(cls, S, rng_seed=args.seed)
@@ -354,8 +371,8 @@ def cmd_sweep(args) -> int:
         _flag_positive("-d", args.d)
     if args.m_cap < 0:
         raise SpecParseError(f"--m-cap must be >= 0, got {args.m_cap}")
+    dist = harness.Distribution.uniform(parse_domain(args.support, "--support"))
     cls = load_class(args.spec, args.cap)
-    dist = harness.Distribution.uniform(parse_domain(args.support))
     try:
         cfg = harness.TrialConfig(
             cls=cls, dist=dist, T=1, mode=args.mode, learner=args.learner, m=0,
@@ -376,6 +393,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials is not None:
+        _flag_positive("--trials", args.trials)
     suite = {
         "lemmas": verify.suite_lemmas,
         "compression": verify.suite_compression,

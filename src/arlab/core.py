@@ -17,8 +17,6 @@ from typing import Callable, Iterator
 
 from .errors import HorizonExceeded
 
-BITS = ("0", "1")
-
 
 def check_bitstring(s: str) -> str:
     """Validate the ASCII encoding of a bit string and return it."""
@@ -40,10 +38,6 @@ class Generator:
     def step(self, x: str) -> str:
         raise NotImplementedError
 
-    def behavior_key(self):
-        """Key used by dedupe_class; structural by default."""
-        return self
-
 
 @dataclass(frozen=True)
 class ConstantGenerator(Generator):
@@ -53,9 +47,6 @@ class ConstantGenerator(Generator):
 
     def step(self, x: str) -> str:
         return self.bit
-
-    def behavior_key(self):
-        return ("constant", self.bit)
 
 
 @dataclass(frozen=True)
@@ -72,9 +63,6 @@ class SequenceGenerator(Generator):
 
     def step(self, x: str) -> str:
         return self.seq[len(x)] if self.seq.startswith(x) else "0"
-
-    def behavior_key(self):
-        return ("sequence", self.seq)
 
 
 @dataclass(frozen=True)
@@ -93,17 +81,13 @@ class TableGenerator(Generator):
     def step(self, x: str) -> str:
         return self._map.get(x, "0")
 
-    def behavior_key(self):
-        return ("table", tuple(sorted((k, v) for k, v in self.table if v != "0")))
-
 
 @dataclass(frozen=True)
 class FiniteClass:
     """Ordered, enumerable collection of generators over a shared horizon.
 
     The order is fixed for the lifetime of the class: ERM tie-breaking and all
-    canonical outputs depend on it. Extensionally equal members are kept;
-    dedupe_class removes them explicitly when wanted.
+    canonical outputs depend on it. Extensionally equal members are kept.
     """
 
     generators: tuple[Generator, ...]
@@ -170,23 +154,6 @@ def sequence_mask_rule(seqs: list[str]) -> Callable[[str], int]:
     return ones
 
 
-def dedupe_class(cls: FiniteClass) -> FiniteClass:
-    """Drop structurally duplicate generators, keeping first occurrences.
-
-    Keyed per construction (e.g. two shifted-subset generators with the same
-    indicator sequence collapse); this is not full extensional equality for
-    constructions such as linear thresholds.
-    """
-    seen = set()
-    keep = []
-    for g in cls:
-        k = g.behavior_key()
-        if k not in seen:
-            seen.add(k)
-            keep.append(g)
-    return FiniteClass(tuple(keep), cls.horizon)
-
-
 def apply_and_append(f: Generator, x: str) -> str:
     """One autoregressive step: x -> x + f(x)."""
     if len(x) >= f.horizon:
@@ -218,7 +185,8 @@ class EvalCache:
     ones(x) has bit g set iff generator g predicts '1' at x; ok_mask(x, y)
     has bit g set iff generator g is consistent with the example (x, y).
     Masks come from the class's mask_rule when it has one, else from
-    ones_by_step, the one loop of step calls over a class.
+    ones_by_step, the one loop of step calls over a class; ones_within
+    steps only the generators of a version set.
     """
 
     def __init__(self, cls: FiniteClass):
@@ -239,6 +207,58 @@ class EvalCache:
     def ok_mask(self, x: str, y: str) -> int:
         o = self.ones(x)
         return o if y == "1" else ~o & self.full
+
+    def ones_within(self, x: str, version: int) -> int:
+        """ones(x) & version; without a mask rule, only the generators in
+        version are stepped."""
+        if self.cls.mask_rule is not None:
+            return self.ones(x) & version
+        gens = self.cls.generators
+        m = 0
+        while version:
+            low = version & -version
+            if gens[low.bit_length() - 1].step(x) == "1":
+                m |= low
+            version ^= low
+        return m
+
+
+def first_index(mask: int) -> int:
+    """The lowest set bit of a generator mask: its first generator in class
+    order, which is how ERM breaks ties."""
+    return (mask & -mask).bit_length() - 1
+
+
+def trace_blocks(cache: EvalCache, x: str, T: int) -> list[tuple[str, int]]:
+    """The class partitioned by its length-T trace from x, as (trace,
+    generator mask) pairs in trace order: a depth-first walk of the trace
+    trie that splits each node's version mask by the node's next-bit mask.
+    A class without a mask rule steps each generator once per depth, as
+    tracing it alone would. Empty for an empty class."""
+    if not cache.full:
+        return []
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    if len(x) + T > cache.cls.horizon:
+        raise HorizonExceeded(f"|x|+T={len(x) + T} > horizon={cache.cls.horizon}")
+    blocks = []
+    stack = [("", cache.full)]
+    while stack:
+        path, version = stack.pop()
+        if len(path) == T:
+            blocks.append((path, version))
+            continue
+        m = cache.ones_within(x + path, version)
+        for bit, v in (("1", m), ("0", version ^ m)):
+            if v:
+                stack.append((path + bit, v))
+    return blocks
+
+
+def e2e_ones(cache: EvalCache, x: str, T: int) -> int:
+    """End-to-end mask at x: bit g set iff generator g's length-T trace from
+    x ends in 1, the union of those trace blocks."""
+    return sum(v for trace, v in trace_blocks(cache, x, T) if trace[-1] == "1")
 
 
 @dataclass(frozen=True)
@@ -281,8 +301,8 @@ def full_generation_tree(x: str, T: int) -> GenerationTree:
 class TraceTrie:
     """Prefix tree of the realized length-T traces of a class from one prompt.
 
-    branches holds the realized traces (root-relative); witness maps each
-    branch to the index of one generator that produces it.
+    branches holds the realized traces (root-relative); witness pairs each
+    branch, in sorted order, with the index of one generator producing it.
     """
 
     prompt: str
@@ -299,29 +319,16 @@ class TraceTrie:
         return frozenset(out)
 
     @cached_property
-    def witness_map(self) -> dict[str, int]:
-        return dict(self.witness)
-
-    @cached_property
     def nodes(self) -> frozenset[str]:
         return frozenset(self.prompt + p for p in self.paths)
 
 
 def realized_trace_tree(cls: FiniteClass, x: str, T: int) -> TraceTrie:
-    """Trie of { cot_trace(f, x, T) : f in cls }, duplicates collapsed.
-
-    Each branch keeps the lowest witnessing generator index.
-    """
+    """Trie of { cot_trace(f, x, T) : f in cls }, duplicates collapsed, read
+    off trace_blocks. Each branch keeps the lowest generator index of its
+    block as witness."""
     if len(x) + T > cls.horizon:
         raise HorizonExceeded(f"|x|+T={len(x) + T} > horizon={cls.horizon}")
-    witness: dict[str, int] = {}
-    for i, f in enumerate(cls):
-        tr = cot_trace(f, x, T)
-        if tr not in witness:
-            witness[tr] = i
-    return TraceTrie(
-        prompt=x,
-        depth=T,
-        branches=frozenset(witness),
-        witness=tuple(sorted(witness.items())),
-    )
+    blocks = trace_blocks(EvalCache(cls), x, T)
+    witness = tuple((trace, first_index(v)) for trace, v in blocks)
+    return TraceTrie(x, T, frozenset(trace for trace, _ in blocks), witness)

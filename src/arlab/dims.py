@@ -18,7 +18,8 @@ import math
 from bisect import bisect_left
 from typing import Iterable, Sequence
 
-from .core import EvalCache, FiniteClass, cot_trace, e2e_output, realized_trace_tree
+from .core import EvalCache, FiniteClass, cot_trace, e2e_ones, e2e_output
+from .core import realized_trace_tree, trace_blocks
 from .errors import DepthCapExceeded, HorizonExceeded, SearchCapExceeded
 
 Pattern = tuple
@@ -57,14 +58,7 @@ def restrict_e2e(cls: FiniteClass, domain: Sequence[str], T: int) -> PatternSet:
             raise HorizonExceeded(f"|x|+T={len(x) + T} > horizon={cls.horizon}")
     if _by_columns(cls):
         cache = EvalCache(cls)
-        ends = []
-        for x in domain:
-            m = 0
-            for trace, v in _trace_blocks(cache, x, T):
-                if trace.endswith("1"):
-                    m |= v
-            ends.append(_bits(m))
-        return _refine(cache.full, ends)
+        return _refine(cache.full, (_bits(e2e_ones(cache, x, T)) for x in domain))
     return frozenset(tuple(e2e_output(f, x, T) for x in domain) for f in cls)
 
 
@@ -76,7 +70,7 @@ def restrict_cot(cls: FiniteClass, domain: Sequence[str], T: int) -> PatternSet:
             raise HorizonExceeded(f"|x|+T={len(x) + T} > horizon={cls.horizon}")
     if _by_columns(cls):
         cache = EvalCache(cls)
-        return _refine(cache.full, (_trace_blocks(cache, x, T) for x in domain))
+        return _refine(cache.full, (trace_blocks(cache, x, T) for x in domain))
     return frozenset(tuple(cot_trace(f, x, T) for x in domain) for f in cls)
 
 
@@ -96,26 +90,6 @@ def _by_columns(cls: FiniteClass) -> bool:
 def _bits(ones: int) -> list[tuple[str, int]]:
     """The binary partition by a 0/1 column (_refine only intersects)."""
     return [("1", ones), ("0", ~ones)]
-
-
-def _trace_blocks(cache: EvalCache, x: str, T: int) -> list[tuple[str, int]]:
-    """The class partitioned by its length-T trace from x, as (trace,
-    generator mask) pairs: a depth-first walk of the trace trie that splits
-    each node's version mask by the node's next-bit mask."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    blocks = []
-    stack = [("", cache.full)]
-    while stack:
-        path, version = stack.pop()
-        if len(path) == T:
-            blocks.append((path, version))
-            continue
-        m = cache.ones(x + path)
-        for bit, v in (("1", version & m), ("0", version & ~m)):
-            if v:
-                stack.append((path + bit, v))
-    return blocks
 
 
 def _refine(full: int, partitions: Iterable[list[tuple[str, int]]]) -> PatternSet:
@@ -228,7 +202,8 @@ def littlestone_dimension(
 
     Minimax recursion over version spaces (as generator-index bitmasks),
     memoized on (version, remaining depth). A return value equal to
-    depth_cap means the search was truncated there.
+    depth_cap may be exact or truncated there; `arlab dims` warns when a
+    search one level deeper finds more.
     """
     cache = EvalCache(cls)
     ones = [cache.ones(x) for x in check_domain(domain)]

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .core import FiniteClass, cot_trace, e2e_output
+from .core import FiniteClass, cot_trace, e2e_ones, e2e_output, first_index
 from .errors import NotRealizable, Unlearnable
 from .learners import (
     CotHypothesis,
@@ -102,9 +102,10 @@ class TrialResult:
 
 
 @lru_cache(maxsize=64)
-def _e2e_table(cls: FiniteClass, T: int, support: tuple[str, ...]):
-    """Per-(class, T, support) matrix of end-to-end outputs."""
-    return tuple(tuple(e2e_output(f, x, T) for x in support) for f in cls)
+def _e2e_table(cls: FiniteClass, T: int, support: tuple[str, ...]) -> tuple[int, ...]:
+    """Per-(class, T, support) end-to-end masks, one per support prompt."""
+    cache = EvalCache(cls)
+    return tuple(e2e_ones(cache, x, T) for x in support)
 
 
 @lru_cache(maxsize=32)
@@ -112,11 +113,20 @@ def _eval_cache(cls: FiniteClass) -> EvalCache:
     return EvalCache(cls)
 
 
-def _erm_e2e_index(table, sampled: list[tuple[int, str]]) -> int:
-    for g, row in enumerate(table):
-        if all(row[i] == y for i, y in sampled):
-            return g
-    raise NotRealizable("no generator e2e-consistent with the sample")
+def _e2e_row(table: tuple[int, ...], g: int) -> tuple[str, ...]:
+    """Generator g's end-to-end outputs on the table's support."""
+    return tuple("1" if m >> g & 1 else "0" for m in table)
+
+
+def _erm_e2e_index(n: int, table, sampled: list[tuple[int, str]]) -> int:
+    """First of n generators whose end-to-end outputs fit the sampled
+    (support position, bit) pairs: the AND of their ok-masks."""
+    ok = (1 << n) - 1
+    for i, y in sampled:
+        ok &= table[i] if y == "1" else ~table[i]
+    if not ok:
+        raise NotRealizable("no generator e2e-consistent with the sample")
+    return first_index(ok)
 
 
 def run_trial(cfg: TrialConfig) -> TrialResult:
@@ -133,13 +143,13 @@ def run_trial(cfg: TrialConfig) -> TrialResult:
     )
     xs = dist.sample(rng, cfg.m)
     table = _e2e_table(cls, T, dist.support)
+    truth = _e2e_row(table, target_idx)
     sup_pos = {x: i for i, x in enumerate(dist.support)}
     kernel_size = None
 
     if cfg.learner == "erm_e2e":
-        sampled = [(sup_pos[x], table[target_idx][sup_pos[x]]) for x in xs]
-        g = _erm_e2e_index(table, sampled)
-        predictions = table[g]
+        sampled = [(sup_pos[x], truth[sup_pos[x]]) for x in xs]
+        predictions = _e2e_row(table, _erm_e2e_index(len(cls), table, sampled))
     else:
         target = cls[target_idx]
         S = CotSample(tuple((x, cot_trace(target, x, T)) for x in xs), T)
@@ -157,7 +167,6 @@ def run_trial(cfg: TrialConfig) -> TrialResult:
             hyp = stable_reconstruct_cot(kernel, cfg.d, T)
         predictions = tuple(hyp.e2e(x) for x in dist.support)
 
-    truth = table[target_idx]
     err = sum(
         (p for p, a, b in zip(dist.probs, predictions, truth) if a != b),
         Fraction(0),

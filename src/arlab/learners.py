@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .classes import LinearParams, make_linear_generator, tail_encoding
-from .core import EvalCache, FiniteClass, Generator, cot_trace
+from .core import EvalCache, FiniteClass, Generator, cot_trace, first_index
 from .dims import _shatter
 from .errors import (
     BoostingFailed,
@@ -103,10 +103,6 @@ def deflate(inflated: Iterable[LabeledBit], S: CotSample) -> CotSample:
     return CotSample(tuple(S[i] for i in sorted(origins)), S.T)
 
 
-def _first_index(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
 def erm(cls: FiniteClass, sample: Iterable[LabeledBit], cache: EvalCache | None = None) -> Generator:
     """First generator in class order consistent with the binary sample."""
     cache = cache or EvalCache(cls)
@@ -117,7 +113,7 @@ def erm(cls: FiniteClass, sample: Iterable[LabeledBit], cache: EvalCache | None 
             raise NotRealizable("no generator consistent with the binary sample")
     if not mask:
         raise NotRealizable("class is empty")
-    return cls[_first_index(mask)]
+    return cls[first_index(mask)]
 
 
 @dataclass(frozen=True)
@@ -238,7 +234,7 @@ def cot_compress(
             mask = cache.full
             for o in origins:
                 mask &= org_mask[o]
-            g = _first_index(mask)
+            g = first_index(mask)
             errs = [i for i in idx if not ok[i] >> g & 1]
             if sum(w[i] for i in errs) <= 1.0 / 3.0:
                 accepted = (origins, g, errs)

@@ -187,6 +187,21 @@ EXIT_CASES = [
     # 1,296 generator columns: the dual search finishes
     pytest.param(["dims", "--spec", "SPEC", "--domain", "010,0100,01000,0010,00100,001000",
                   "--which", "vc_dual"], AC4_PRODUCT, None, 0, id="vc-dual-product"),
+    # malformed sample files and out-of-range flags are bad input
+    pytest.param(["learn", "--spec", "SPEC", "--sample", "SAMPLE", "--learner", "erm_e2e"],
+                 FULL8, [("0", "0a")], 2, id="sample-trace-not-bits"),
+    pytest.param(["learn", "--spec", "SPEC", "--sample", "SAMPLE", "--learner", "erm_e2e"],
+                 FULL8, [("0", "")], 2, id="sample-trace-empty"),
+    pytest.param(["learn", "--spec", "SPEC", "--sample", "SAMPLE", "--learner", "erm_e2e"],
+                 FULL8, [("0", "01"), ("1", "011")], 2, id="sample-trace-lengths-differ"),
+    pytest.param(["taxonomy", "--rate", "1,2,3,4", "--Tmax", "-1"], None, None, 2,
+                 id="Tmax-negative"),
+    pytest.param(["taxonomy", "--rate", "1,2,3,4", "--smax", "-1"], None, None, 2,
+                 id="smax-negative"),
+    pytest.param(["verify", "--suite", "lemmas", "--trials", "-1"], None, None, 2,
+                 id="trials-negative"),
+    pytest.param(["dims", "--spec", "SPEC", "--domain", "chain:-2"], SHIFTED, None, 2,
+                 id="chain-negative"),
     # one prompt, two different final bits
     pytest.param(["learn", "--spec", "SPEC", "--sample", "SAMPLE",
                   "--learner", "erm_e2e"],

@@ -1,7 +1,8 @@
-"""Closed-form next-bit masks and restriction through generator-bitmask
-columns, each tied to its per-generator loop: ones_by_step for the mask
-rules, and the trace-per-generator loop that restrict_base/e2e/cot keep for
-classes without a rule."""
+"""Closed-form next-bit masks, the trace-partition walk and restriction
+through generator-bitmask columns, each tied to its per-generator loop:
+ones_by_step for the mask rules, cot_trace/e2e_output per generator for the
+walk's realized trees and e2e tables, and the trace-per-generator loop that
+restrict_base/e2e/cot keep for classes without a rule."""
 
 import itertools
 from unittest import mock
@@ -9,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arlab import classes, core, dims
+from arlab import classes, core, dims, harness
 from arlab.classes import (
     IntervalSet,
     make_full_class,
@@ -17,8 +18,24 @@ from arlab.classes import (
     make_product_class,
     make_shifted_subset_class,
 )
-from arlab.core import FiniteClass, SequenceGenerator, ones_by_step
-from arlab.dims import chain_domain, restrict_base, restrict_cot, restrict_e2e, vc_dimension
+from arlab.core import (
+    ConstantGenerator,
+    FiniteClass,
+    SequenceGenerator,
+    cot_trace,
+    e2e_output,
+    ones_by_step,
+    realized_trace_tree,
+)
+from arlab.dims import (
+    atdim_realized,
+    chain_domain,
+    restrict_base,
+    restrict_cot,
+    restrict_e2e,
+    vc_dimension,
+)
+from arlab.errors import HorizonExceeded, NotRealizable
 
 FULL6 = make_full_class(6)
 
@@ -186,10 +203,129 @@ def test_loop_oracle_calls_no_rule_helper(monkeypatch):
     def rule_called(*args, **kwargs):
         raise AssertionError("the loop oracle must not use a mask rule")
 
-    for name in ("_trace_blocks", "_refine", "_bits"):
+    for name in ("trace_blocks", "e2e_ones"):
+        monkeypatch.setattr(core, name, rule_called)
+    for name in ("trace_blocks", "e2e_ones", "_refine", "_bits"):
         monkeypatch.setattr(dims, name, rule_called)
     monkeypatch.setattr(core, "sequence_mask_rule", rule_called)
     for cls_type in (FiniteClass, classes.ProductClass, classes.ParityClass):
         monkeypatch.setattr(cls_type, "mask_rule", property(rule_called))
     assert [_loop(cls, dom, T) for cls, dom, T in cases] == want
     assert [[ones_by_step(cls, x) for x in dom] for cls, dom, _ in cases] == masks
+
+
+# ---------------------------------------------------------------------------
+# The trace-partition walk: realized trees, e2e tables and e2e ERM
+# ---------------------------------------------------------------------------
+
+LINEAR = {d: classes.enumerate_linear_class(d, 1, 8) for d in (1, 2)}
+BRANCH = classes.make_atdim_example_class(2, 10)
+
+
+@st.composite
+def ruleless_classes(draw):
+    """Classes without a mask rule, members drawn in any order: constants
+    and sequence followers mixed, linear grids, the branch class."""
+    kind = draw(st.sampled_from(["mixed", "linear", "branch"]))
+    if kind == "mixed":
+        gens = st.one_of(
+            st.sampled_from([ConstantGenerator("0", 6), ConstantGenerator("1", 6)]),
+            st.sampled_from(FULL6.generators),
+        )
+        return FiniteClass(tuple(draw(st.lists(gens, max_size=12))), 6)
+    pool = LINEAR[draw(st.sampled_from([1, 2]))] if kind == "linear" else BRANCH
+    idx = draw(st.permutations(range(len(pool))))[: draw(st.integers(0, len(pool)))]
+    return FiniteClass(tuple(pool[i] for i in idx), pool.horizon)
+
+
+@st.composite
+def walk_cases(draw):
+    cls = draw(st.one_of(ruled_classes, ruleless_classes()))
+    T = draw(st.integers(1, min(cls.horizon - 1, 4)))
+    prompt = st.text(alphabet="01", max_size=cls.horizon - T)
+    support = tuple(draw(st.lists(prompt, unique=True, min_size=1, max_size=4)))
+    labels = st.lists(st.tuples(st.integers(0, 3), st.booleans()), max_size=6)
+    return cls, support, T, draw(labels)
+
+
+@settings(max_examples=80, deadline=None)
+@given(walk_cases())
+def test_walk_matches_per_generator_definitions(case):
+    cls, support, T, draws = case
+    traces = [[cot_trace(f, x, T) for x in support] for f in cls]
+    for i, x in enumerate(support):
+        lowest: dict[str, int] = {}
+        for g, row in enumerate(traces):
+            lowest.setdefault(row[i], g)
+        trie = realized_trace_tree(cls, x, T)
+        assert trie.branches == set(lowest)
+        assert trie.witness == tuple(sorted(lowest.items()))
+    table = harness._e2e_table(cls, T, support)
+    for g, f in enumerate(cls):
+        assert [m >> g & 1 for m in table] == [e2e_output(f, x, T) == "1" for x in support]
+    # e2e ERM: the first generator whose final bits fit the sample
+    sampled = [(i % len(support), "1" if bit else "0") for i, bit in draws]
+    fits = [g for g, row in enumerate(traces) if all(row[i][-1] == y for i, y in sampled)]
+    if fits:
+        assert harness._erm_e2e_index(len(cls), table, sampled) == fits[0]
+    else:
+        with pytest.raises(NotRealizable):
+            harness._erm_e2e_index(len(cls), table, sampled)
+
+
+def test_walk_edge_cases():
+    empty = FiniteClass((), 6)
+    # T < 1 fails only for a nonempty class; the horizon is checked first
+    with pytest.raises(ValueError, match="T must be >= 1"):
+        realized_trace_tree(FULL6, "0", 0)
+    with pytest.raises(ValueError, match="T must be >= 1"):
+        harness._e2e_table(FULL6, 0, ("0",))
+    assert realized_trace_tree(empty, "0", 0).branches == frozenset()
+    assert harness._e2e_table(empty, 0, ("0", "1")) == (0, 0)
+    with pytest.raises(HorizonExceeded, match=r"\|x\|\+T=7 > horizon=6"):
+        realized_trace_tree(empty, "00000", 2)
+    with pytest.raises(HorizonExceeded, match=r"\|x\|\+T=7 > horizon=6"):
+        harness._e2e_table(FULL6, 2, ("0", "00000"))
+
+
+def test_walk_steps_each_generator_once_per_depth(monkeypatch):
+    cls = classes.enumerate_linear_class(2, 2, 16)
+    assert cls.mask_rule is None
+    calls = [0]
+    step = type(cls[0]).step
+
+    def counted(self, x):
+        calls[0] += 1
+        return step(self, x)
+
+    monkeypatch.setattr(type(cls[0]), "step", counted)
+    T = 6
+    for x in ("", "0", "1", "0110"):
+        calls[0] = 0
+        trie = realized_trace_tree(cls, x, T)
+        assert calls[0] <= len(cls) * T
+        # more than T inner nodes: stepping the whole class at each would exceed it
+        assert len(trie.paths) - len(trie.branches) > T
+        calls[0] = 0
+        harness._e2e_table.__wrapped__(cls, T, (x,))
+        assert calls[0] <= len(cls) * T
+
+
+def test_walk_never_steps_a_ruled_class(monkeypatch):
+    full = make_full_class(16)
+    T = 3
+    x = "01"  # generators off this prompt trace 000, the others follow it
+    lowest: dict[str, int] = {}
+    ones = 0
+    for g, f in enumerate(full):
+        trace = cot_trace(f, x, T)
+        lowest.setdefault(trace, g)
+        ones |= (trace[-1] == "1") << g
+
+    def step_called(self, x):
+        raise AssertionError("a class with a mask rule must not call Generator.step")
+
+    monkeypatch.setattr(SequenceGenerator, "step", step_called)
+    assert realized_trace_tree(full, x, T).witness == tuple(sorted(lowest.items()))
+    assert harness._e2e_table.__wrapped__(full, T, (x,)) == (ones,)
+    assert atdim_realized(full, chain_domain(10), 5) == 5

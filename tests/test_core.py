@@ -9,7 +9,6 @@ from arlab.core import (
     SequenceGenerator,
     apply_and_append,
     cot_trace,
-    dedupe_class,
     e2e_output,
     full_generation_tree,
     realized_trace_tree,
@@ -111,7 +110,7 @@ def test_realized_trace_tree_atdim_right_collapse():
 def test_realized_trace_tree_witnesses():
     cls = make_full_class(8)
     trie = realized_trace_tree(cls, "0", 3)
-    for branch, idx in trie.witness_map.items():
+    for branch, idx in dict(trie.witness).items():
         assert cot_trace(cls[idx], "0", 3) == branch
 
 
@@ -132,11 +131,6 @@ def test_trie_paths_prefix_closed():
     for p in trie.paths:
         if p:
             assert p[:-1] in trie.paths
-
-
-def test_dedupe_class():
-    cls = FiniteClass((const0, ConstantGenerator("0", H), const1), H)
-    assert len(dedupe_class(cls)) == 2
 
 
 generators = st.one_of(
