@@ -16,7 +16,6 @@ from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .core import (
-    ConstantGenerator,
     FiniteClass,
     Generator,
     SequenceGenerator,
@@ -519,10 +518,3 @@ def make_atdim_example_class(D: int, H: int) -> FiniteClass:
             TableGenerator(table=table, horizon=H, kind="atdim_branch", params=(leaf,))
         )
     return FiniteClass(tuple(gens), H)
-
-
-def constant_class(H: int) -> FiniteClass:
-    """The two constant generators; handy in tests and demos."""
-    return FiniteClass(
-        (ConstantGenerator("0", H), ConstantGenerator("1", H)), H
-    )

@@ -187,19 +187,14 @@ def write_csv(header, rows, out=None):
         w.writerow(row)
 
 
-def write_bitstring_csv(path: str, header, rows):
-    """Bit-string columns are always quoted, so '' round-trips visibly."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow(row)
-
-
 def read_sample_csv(path: str) -> list[tuple[str, str]]:
     """The (prompt, trace) rows of a sample file: bit strings, with nonempty
     traces all of the first trace's length."""
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as e:
+        raise SpecParseError(f"cannot read sample file: {e}") from e
+    with fh:
         rd = csv.reader(fh)
         header = next(rd, None)
         if header is None or [h.strip() for h in header[:2]] != ["prompt", "trace"]:
@@ -371,7 +366,10 @@ def cmd_sweep(args) -> int:
         _flag_positive("-d", args.d)
     if args.m_cap < 0:
         raise SpecParseError(f"--m-cap must be >= 0, got {args.m_cap}")
-    dist = harness.Distribution.uniform(parse_domain(args.support, "--support"))
+    support = parse_domain(args.support, "--support")
+    if not support:
+        raise SpecParseError(f"--support {args.support} names no prompt")
+    dist = harness.Distribution.uniform(support)
     cls = load_class(args.spec, args.cap)
     try:
         cfg = harness.TrialConfig(

@@ -69,18 +69,6 @@ class CotSample:
         return self.examples[i]
 
 
-def realizes_cot(f: Generator, S: CotSample) -> bool:
-    return all(cot_trace(f, x, S.T) == y for x, y in S)
-
-
-def check_realizable(cls: FiniteClass, S: CotSample) -> int:
-    """Index of the first generator whose CoT map is consistent with S."""
-    for i, f in enumerate(cls):
-        if realizes_cot(f, S):
-            return i
-    raise NotRealizable("no generator in the class produces every trace in S")
-
-
 def inflate(S: CotSample) -> list[LabeledBit]:
     """Unroll each (x_i, y_i) into the T next-bit examples
     (x_i + y_{i,<t}, y_{i,t}), tagged with origin i. Size is exactly m*T."""
@@ -282,169 +270,104 @@ def cot_reconstruct(
 # ---------------------------------------------------------------------------
 
 
-def _solve_affine(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """Exact solution set of a linear system: (particular, null_basis), or
-    None if inconsistent. Unknown count is len(rows[0])."""
-    n = len(rows[0])
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
+def _solve_square(aug: list[list[int]]):
+    """Fraction-free Gauss-Jordan (Bareiss) on an n x (n+1) augmented integer
+    matrix: (det, nums) with the unique solution x_k = nums[k] / det and
+    det > 0, or None if the system is singular. Every division is exact;
+    aug is overwritten."""
+    n = len(aug)
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if aug[i][k]), None)
         if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        scale = aug[r][c]
-        aug[r] = [v / scale for v in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(aug):
-            break
-    for i in range(r, len(aug)):
-        if aug[i][n] != 0:
             return None
-    particular = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        particular[c] = aug[i][n]
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for i, c in enumerate(pivots):
-            vec[c] = -aug[i][fc]
-        basis.append(vec)
-    return particular, basis
-
-
-def _min_norm_solution(rows, rhs, d):
-    """Minimize ||w||^2 (first d coordinates) over the affine solution set of
-    the system; returns (w, b) or None if the system is inconsistent."""
-    sol = _solve_affine(rows, rhs)
-    if sol is None:
-        return None
-    v0, basis = sol
-    if basis:
-        gram = [
-            [sum(bi[k] * bj[k] for k in range(d)) for bj in basis] for bi in basis
-        ]
-        rhs2 = [-sum(v0[k] * bi[k] for k in range(d)) for bi in basis]
-        tsol = _solve_affine(gram, rhs2)
-        if tsol is None:
-            return None
-        t, tbasis = tsol
-        if tbasis:
-            # norm not pinned down in (w, b); cannot determine a hyperplane
-            return None
-        v0 = [
-            v0[k] + sum(t[j] * basis[j][k] for j in range(len(basis)))
-            for k in range(len(v0))
-        ]
-    return tuple(v0[:d]), v0[d]
+        aug[k], aug[piv] = aug[piv], aug[k]
+        rk = aug[k]
+        pk = rk[k]
+        for i in range(n):
+            if i != k:
+                f = aug[i][k]
+                aug[i] = [(pk * a - f * b) // prev for a, b in zip(aug[i], rk)]
+        prev = pk
+    sign = 1 if prev > 0 else -1
+    return sign * prev, [sign * row[n] for row in aug]
 
 
 @lru_cache(maxsize=8192)
 def _margin_core(contents: tuple, d: int):
-    """Exact max-margin solution for a canonical content set.
+    """Exact max-margin separator of a canonical content set, with its support.
 
-    contents is a sorted tuple of ((0/1,)*d, label) pairs with both labels
-    present. Returns (params, support_contents) where support_contents is the
-    first (size, lex) subset of tight points carrying a nonnegative dual
-    representation of the optimum.
+    contents is a sorted tuple of distinct ((0/1,)*d, label) pairs, labels
+    s = +/-1. Subsets A of at most d+1 points are visited in (size, lex)
+    order, and for each the dual KKT system in the unknowns (lambda_A, b)
+
+        sum_j lambda_j s_j = 0,
+        s_i (sum_j lambda_j s_j p_j.p_i + b) = 1      (i in A)
+
+    is solved exactly. The first A whose system is nonsingular, with
+    lambda >= 0 and margin >= 1 on every point, certifies the unique optimum
+    w = sum_j lambda_j s_j p_j. Returns (params, support_contents), the
+    support being that A; raises NotSeparable when no A qualifies.
     """
-    signed = [
-        (tuple(Fraction(v) for v in p), Fraction(1 if y == "1" else -1), (p, y))
-        for p, y in contents
-    ]
-    best = None  # (norm2, w, b)
-    for size in range(1, d + 2):
-        for subset in itertools.combinations(range(len(signed)), size):
-            rows = []
-            rhs = []
-            for i in subset:
-                p, sg, _ = signed[i]
-                rows.append([sg * v for v in p] + [sg])
-                rhs.append(Fraction(1))
-            got = _min_norm_solution(rows, rhs, d)
-            if got is None:
-                continue
-            w, b = got
-            if all(
-                sg * (sum(wi * pi for wi, pi in zip(w, p)) + b) >= 1
-                for p, sg, _ in signed
-            ):
-                norm2 = sum(v * v for v in w)
-                if best is None or norm2 < best[0]:
-                    best = (norm2, w, b)
-    if best is None:
-        raise NotSeparable("no margin-1 separator exists for the sample")
-    _, w, b = best
-
-    tight = [
-        i
-        for i, (p, sg, _) in enumerate(signed)
-        if sg * (sum(wi * pi for wi, pi in zip(w, p)) + b) == 1
+    pts = [p for p, _ in contents]
+    sg = [1 if y == "1" else -1 for _, y in contents]
+    # gram[i][j] = s_i s_j p_i.p_j, so margin_i = sum_j lambda_j gram[i][j] + s_i b
+    gram = [
+        [si * sj * sum(a * c for a, c in zip(pi, pj)) for pj, sj in zip(pts, sg)]
+        for pi, si in zip(pts, sg)
     ]
     for size in range(1, d + 2):
-        for subset in itertools.combinations(tight, size):
-            # lambda >= 0 with sum l_i sg_i p_i = w and sum l_i sg_i = 0
-            rows = [
-                [signed[i][1] * signed[i][0][k] for i in subset] for k in range(d)
-            ]
-            rows.append([signed[i][1] for i in subset])
-            rhs = [Fraction(v) for v in w] + [Fraction(0)]
-            sol = _solve_affine(rows, rhs)
+        for A in itertools.combinations(range(len(pts)), size):
+            aug = [[sg[j] for j in A] + [0, 0]]
+            aug += [[gram[i][j] for j in A] + [sg[i], 1] for i in A]
+            sol = _solve_square(aug)
             if sol is None:
                 continue
-            lam, basis = sol
-            if basis:
-                continue  # a smaller or equal independent subset exists first
-            if all(l >= 0 for l in lam):
-                return LinearParams(tuple(w), b), tuple(
-                    signed[i][2] for i in subset
+            det, nums = sol
+            lam, b = nums[:-1], nums[-1]
+            if any(v < 0 for v in lam):
+                continue
+            if all(
+                sum(v * gi[j] for v, j in zip(lam, A)) + si * b >= det
+                for gi, si in zip(gram, sg)
+            ):
+                w = [
+                    sum(v * sg[j] * pts[j][k] for v, j in zip(lam, A))
+                    for k in range(d)
+                ]
+                params = LinearParams(
+                    tuple(Fraction(v, det) for v in w), Fraction(b, det)
                 )
-    raise AssertionError("optimum must have a Caratheodory support")
+                return params, tuple(contents[j] for j in A)
+    raise NotSeparable("no margin-1 separator exists for the sample")
 
 
 def max_margin(
-    sample: Iterable[LabeledBit | tuple], d: int
+    sample: Iterable[LabeledBit], d: int
 ) -> tuple[LinearParams, list[LabeledBit]]:
     """Exact maximum-margin separator of a binary sample in the d-bit tail
-    encoding, plus the minimal support set that determines it.
+    encoding, plus the support set that determines it.
 
-    Candidate support subsets of size <= d+1 are scanned in (size, lex) order
-    over the canonically sorted distinct points; each induces the minimum-norm
-    solution with its constraints tight, and the valid candidate of maximum
-    margin is the global optimum. The reported support is the first subset of
-    tight points carrying a nonnegative dual representation of the optimum,
-    which makes the compression map stable under deletion of non-support
-    examples. One-class samples get the constant separator (w = 0, b = +/-1)
-    supported on the canonically smallest example. Support representatives
-    are chosen by lowest origin, which deletions of other examples preserve.
+    The sample is reduced to its canonically sorted distinct (point, label)
+    contents, and `_margin_core` returns the first (size, lex) subset of at
+    most d+1 of them whose dual KKT system certifies the optimum. That
+    support depends only on the contents, so the compression map is stable
+    under deletion of non-support examples. A one-label sample comes out as
+    the constant separator (w = 0, b = +/-1) supported on its canonically
+    smallest point. Support representatives are chosen by lowest origin,
+    which deletions of other examples preserve.
     """
-    exs = [e if isinstance(e, LabeledBit) else LabeledBit(*e) for e in sample]
     reps: dict[tuple, LabeledBit] = {}
-    for e in exs:
+    for e in sample:
         key = (tail_encoding(e.x, d), e.y)
         best = reps.get(key)
         if best is None or _rep_order(e) < _rep_order(best):
             reps[key] = e
-    contents = tuple(sorted(reps, key=lambda k: (k[0], k[1])))
+    contents = tuple(sorted(reps))
     seen = {}
     for p, y in contents:
         if seen.setdefault(p, y) != y:
             raise NotSeparable(f"contradictory labels at tail point {p}")
-
-    labels = {y for _, y in contents}
-    if len(labels) == 1:
-        y = next(iter(labels))
-        params = LinearParams.of((0,) * d, 1 if y == "1" else -1)
-        return params, [reps[contents[0]]]
-
     params, support_contents = _margin_core(contents, d)
     return params, [reps[c] for c in support_contents]
 
@@ -463,11 +386,11 @@ def stable_compress_cot(S: CotSample, d: int) -> CotSample:
     return deflate(support, S)
 
 
-def stable_reconstruct_cot(K: CotSample | None, d: int, T: int) -> CotHypothesis:
+def stable_reconstruct_cot(K: CotSample, d: int, T: int) -> CotHypothesis:
     """T-step iteration of the max-margin separator of the inflated kernel.
 
     An empty kernel reconstructs to the constant-1 rule (w = 0, b = 1)."""
-    if K is None or len(K) == 0:
+    if len(K) == 0:
         params = LinearParams.of((0,) * d, 1)
     else:
         params, _ = max_margin(inflate(K), d)

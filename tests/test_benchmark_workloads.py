@@ -18,7 +18,12 @@ import workloads  # noqa: E402
 
 @pytest.mark.parametrize(
     "name, op_name",
-    [("dims", "F13/chain3/T0/vc_base"), ("trees", "small/0"), ("pac", "cot/0")],
+    [
+        ("dims", "F13/chain3/T0/vc_base"),
+        ("trees", "small/0"),
+        ("pac", "cot/0"),
+        ("pac", "linear/0"),
+    ],
 )
 def test_workload_builds_and_runs_one_op(name, op_name):
     ops = {op.name: op for op in workloads.build(name, 1, nullcontext)}

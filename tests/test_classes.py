@@ -174,10 +174,9 @@ def test_product_relocation():
 
 
 def test_product_constant_parts():
-    from arlab.classes import constant_class
-    from arlab.core import FiniteClass
+    from arlab.core import ConstantGenerator, FiniteClass
 
-    c0 = FiniteClass((constant_class(8)[0],), 8)
+    c0 = FiniteClass((ConstantGenerator("0", 8),), 8)
     prod = make_product_class([c0, c0])
     assert len(prod) == 1
     for x in ("", "0", "01", "00111"):

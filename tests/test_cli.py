@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from arlab import cli
-from arlab.cli import main, parse_domain, read_sample_csv, write_bitstring_csv
+from arlab.cli import main, parse_domain, read_sample_csv
 from arlab.classes import IntervalSet, enumerate_linear_class, make_shifted_subset_class
 from arlab.core import cot_trace, e2e_output
 
@@ -202,6 +202,12 @@ EXIT_CASES = [
                  id="trials-negative"),
     pytest.param(["dims", "--spec", "SPEC", "--domain", "chain:-2"], SHIFTED, None, 2,
                  id="chain-negative"),
+    pytest.param(["learn", "--spec", "SPEC", "--sample", "no/such/sample.csv",
+                  "--learner", "erm_e2e"], SHIFTED, None, 2, id="sample-missing"),
+    # checked before the spec is read
+    pytest.param(["sweep", "--spec", "no/such/spec.json", "--Ts", "1", "--mode", "e2e",
+                  "--learner", "erm_e2e", "--support", "chain:0", "--R", "2"],
+                 None, None, 2, id="support-empty"),
     # one prompt, two different final bits
     pytest.param(["learn", "--spec", "SPEC", "--sample", "SAMPLE",
                   "--learner", "erm_e2e"],
@@ -304,8 +310,11 @@ def test_sweep_svg(tmp_path, capsys):
 
 
 def make_sample_file(tmp_path, pairs, name="sample.csv"):
+    # every field quoted, so the empty prompt round-trips visibly
     path = tmp_path / name
-    write_bitstring_csv(str(path), ("prompt", "trace"), pairs)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\n")
+        w.writerows([("prompt", "trace"), *pairs])
     return str(path)
 
 

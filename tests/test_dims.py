@@ -11,7 +11,6 @@ from arlab import dims, verify
 from arlab.classes import (
     IntervalSet,
     RateTable,
-    constant_class,
     enumerate_linear_class,
     make_atdim_example_class,
     make_full_class,
@@ -23,6 +22,7 @@ from arlab.classes import (
     relocation_prefixes,
 )
 from arlab.core import (
+    ConstantGenerator,
     EvalCache,
     FiniteClass,
     TableGenerator,
@@ -60,6 +60,10 @@ FIGURE_TREE = frozenset(
         "0000", "0010", "0100", "1000", "1010", "1100",
     ]
 )
+
+
+def constant_class(H: int) -> FiniteClass:
+    return FiniteClass((ConstantGenerator("0", H), ConstantGenerator("1", H)), H)
 
 
 def all_labelings_class(m: int, H: int = 16) -> tuple[FiniteClass, tuple[str, ...]]:
