@@ -9,10 +9,8 @@ from .core import (
     ConstantGenerator,
     FiniteClass,
     Generator,
-    GenerationTree,
     SequenceGenerator,
     TableGenerator,
-    TraceTrie,
     apply_and_append,
     cot_trace,
     e2e_output,

@@ -145,10 +145,7 @@ def make_full_class(H: int, cap: int = DEFAULT_CAP) -> FiniteClass:
     if H < 2:
         raise ValueError("H must be >= 2")
     _check_cap(2**H, cap)
-    gens = tuple(
-        SequenceGenerator(seq=format(i, f"0{H}b"), horizon=H, kind="full")
-        for i in range(2**H)
-    )
+    gens = tuple(SequenceGenerator(format(i, f"0{H}b"), H) for i in range(2**H))
     return FiniteClass(gens, H)
 
 
@@ -159,7 +156,7 @@ def shifted_subset_generator(s: int, A: Iterable[int], H: int) -> SequenceGenera
     if A and max(active) > H:
         raise HorizonTooSmall(f"position {max(active)} > horizon {H}")
     seq = "".join("1" if i in active else "0" for i in range(1, H + 1))
-    return SequenceGenerator(seq=seq, horizon=H, kind="shifted_subset", params=(s, A))
+    return SequenceGenerator(seq=seq, horizon=H, params=(s, A))
 
 
 def make_shifted_subset_class(
@@ -198,7 +195,6 @@ class ProductGenerator(Generator):
     parts: tuple[Generator, ...]
     prefixes: tuple[str, ...]
     horizon: int
-    kind = "product"
 
     def step(self, x: str) -> str:
         for p, f in zip(self.prefixes, self.parts):
@@ -365,7 +361,6 @@ class LinearGenerator(Generator):
 
     params: LinearParams
     horizon: int
-    kind = "linear"
 
     def step(self, x: str) -> str:
         w = self.params.w
@@ -436,7 +431,6 @@ class ParityGenerator(Generator):
 
     b: str
     horizon: int
-    kind = "parity"
 
     def step(self, x: str) -> str:
         hit = _parse_parity(x, len(self.b))
@@ -514,7 +508,5 @@ def make_atdim_example_class(D: int, H: int) -> FiniteClass:
             (atdim_node_label(v), str(child & 1))
             for v, child in zip(path, path[1:])
         )
-        gens.append(
-            TableGenerator(table=table, horizon=H, kind="atdim_branch", params=(leaf,))
-        )
+        gens.append(TableGenerator(table=table, horizon=H, params=(leaf,)))
     return FiniteClass(tuple(gens), H)

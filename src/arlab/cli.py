@@ -252,8 +252,11 @@ def write_svg_lines(path: str, series: dict[str, list[tuple[float, float]]],
             f'<text x="{pad}" y="{16 + 14 * i}" fill="{col}" font-size="12">{name}</text>'
         )
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts))
+    try:
+        with open(path, "w") as fh:
+            fh.write("\n".join(parts))
+    except OSError as e:
+        raise SpecParseError(f"cannot write svg file: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +270,7 @@ def cmd_dims(args) -> int:
     domain = parse_domain(args.domain)
     _flag_positive("--T", args.T)
     _flag_positive("--depth-cap", args.depth_cap)
+    _flag_positive("--cap", args.cap)
     cls = load_class(args.spec, args.cap)
     wanted = DIM_NAMES if args.which == "all" else (args.which,)
     rows = []
@@ -297,6 +301,7 @@ def cmd_dims(args) -> int:
 def cmd_taxonomy(args) -> int:
     if args.Tmax is not None:
         _flag_positive("--Tmax", args.Tmax)
+    _flag_positive("--cap", args.cap)
     if args.smax is not None and args.smax < 0:
         raise SpecParseError(f"--smax must be >= 0, got {args.smax}")
     rate = classes.RateTable(tuple(_flag_ints("--rate", args.rate)))
@@ -312,6 +317,7 @@ def cmd_taxonomy(args) -> int:
 def cmd_learn(args) -> int:
     if args.d is not None:
         _flag_positive("-d", args.d)
+    _flag_positive("--cap", args.cap)
     cls = load_class(args.spec, args.cap)
     pairs = read_sample_csv(args.sample)
     if not pairs:
@@ -364,6 +370,7 @@ def cmd_sweep(args) -> int:
     _flag_positive("--Ts", *Ts)
     if args.d is not None:
         _flag_positive("-d", args.d)
+    _flag_positive("--cap", args.cap)
     if args.m_cap < 0:
         raise SpecParseError(f"--m-cap must be >= 0, got {args.m_cap}")
     support = parse_domain(args.support, "--support")
@@ -379,14 +386,14 @@ def cmd_sweep(args) -> int:
     except ValueError as e:  # a learner that does not fit --mode, or lacks -d
         raise SpecParseError(str(e)) from e
     rows = harness.sweep_T(cfg, Ts, eps, delta, args.R, args.m_cap)
-    write_csv(
-        ("T", "mode", "m_hat", "failure_rate"),
-        [(r["T"], r["mode"], r["m_hat"], float(r["failure_rate"])) for r in rows],
-    )
     if args.svg:
         write_svg_lines(
             args.svg, {args.mode: [(r["T"], r["m_hat"]) for r in rows]}
         )
+    write_csv(
+        ("T", "mode", "m_hat", "failure_rate"),
+        [(r["T"], r["mode"], r["m_hat"], float(r["failure_rate"])) for r in rows],
+    )
     return EXIT_OK
 
 

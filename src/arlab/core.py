@@ -32,7 +32,6 @@ class Generator:
     the module-level operations enforce the horizon.
     """
 
-    kind = "abstract"
     horizon: int
 
     def step(self, x: str) -> str:
@@ -43,7 +42,6 @@ class Generator:
 class ConstantGenerator(Generator):
     bit: str
     horizon: int
-    kind = "constant"
 
     def step(self, x: str) -> str:
         return self.bit
@@ -58,7 +56,6 @@ class SequenceGenerator(Generator):
 
     seq: str
     horizon: int
-    kind: str = "sequence"
     params: tuple = ()
 
     def step(self, x: str) -> str:
@@ -71,7 +68,6 @@ class TableGenerator(Generator):
 
     table: tuple[tuple[str, str], ...]
     horizon: int
-    kind: str = "table"
     params: tuple = ()
 
     @cached_property
@@ -231,9 +227,9 @@ def first_index(mask: int) -> int:
 
 def trace_blocks(cache: EvalCache, x: str, T: int) -> list[tuple[str, int]]:
     """The class partitioned by its length-T trace from x, as (trace,
-    generator mask) pairs in trace order: a depth-first walk of the trace
-    trie that splits each node's version mask by the node's next-bit mask.
-    A class without a mask rule steps each generator once per depth, as
+    generator mask) pairs in trace order: a depth-first walk of the realized
+    trace tree that splits each node's version mask by the node's next-bit
+    mask. A class without a mask rule steps each generator once per depth, as
     tracing it alone would. Empty for an empty class."""
     if not cache.full:
         return []
@@ -261,74 +257,23 @@ def e2e_ones(cache: EvalCache, x: str, T: int) -> int:
     return sum(v for trace, v in trace_blocks(cache, x, T) if trace[-1] == "1")
 
 
-@dataclass(frozen=True)
-class GenerationTree:
-    """Complete depth-T binary tree of all continuations of a prompt.
-
-    Paths are root-relative bit strings ('' is the root); nodes carry the
-    prompt-prefixed strings.
-    """
-
-    prompt: str
-    depth: int
-
-    @cached_property
-    def paths(self) -> frozenset[str]:
-        out = [""]
-        for t in range(1, self.depth + 1):
-            out.extend("".join(p) for p in itertools.product("01", repeat=t))
-        return frozenset(out)
-
-    @cached_property
-    def nodes(self) -> frozenset[str]:
-        return frozenset(self.prompt + p for p in self.paths)
-
-    @property
-    def node_count(self) -> int:
-        return 2 ** (self.depth + 1) - 1
-
-    def leaves(self) -> frozenset[str]:
-        return frozenset(self.prompt + p for p in self.paths if len(p) == self.depth)
-
-
-def full_generation_tree(x: str, T: int) -> GenerationTree:
+def full_generation_tree(T: int) -> frozenset[str]:
+    """Every continuation of a prompt up to depth T, as root-relative paths:
+    all bit strings of length <= T, '' being the root."""
     if T < 0:
         raise ValueError("T must be >= 0")
-    return GenerationTree(x, T)
+    return frozenset(
+        "".join(p) for t in range(T + 1) for p in itertools.product("01", repeat=t)
+    )
 
 
-@dataclass(frozen=True)
-class TraceTrie:
-    """Prefix tree of the realized length-T traces of a class from one prompt.
-
-    branches holds the realized traces (root-relative); witness pairs each
-    branch, in sorted order, with the index of one generator producing it.
-    """
-
-    prompt: str
-    depth: int
-    branches: frozenset[str]
-    witness: tuple[tuple[str, int], ...]
-
-    @cached_property
-    def paths(self) -> frozenset[str]:
-        out = {""}
-        for b in self.branches:
-            for i in range(1, len(b) + 1):
-                out.add(b[:i])
-        return frozenset(out)
-
-    @cached_property
-    def nodes(self) -> frozenset[str]:
-        return frozenset(self.prompt + p for p in self.paths)
-
-
-def realized_trace_tree(cls: FiniteClass, x: str, T: int) -> TraceTrie:
-    """Trie of { cot_trace(f, x, T) : f in cls }, duplicates collapsed, read
-    off trace_blocks. Each branch keeps the lowest generator index of its
-    block as witness."""
+def realized_trace_tree(cls: FiniteClass, x: str, T: int) -> frozenset[str]:
+    """The root '' and every prefix of the realized traces { cot_trace(f, x,
+    T) : f in cls }, read off trace_blocks; the traces are the paths of
+    length T."""
     if len(x) + T > cls.horizon:
         raise HorizonExceeded(f"|x|+T={len(x) + T} > horizon={cls.horizon}")
-    blocks = trace_blocks(EvalCache(cls), x, T)
-    witness = tuple((trace, first_index(v)) for trace, v in blocks)
-    return TraceTrie(x, T, frozenset(trace for trace, _ in blocks), witness)
+    paths = {""}
+    for trace, _ in trace_blocks(EvalCache(cls), x, T):
+        paths.update(trace[:i] for i in range(1, T + 1))
+    return frozenset(paths)

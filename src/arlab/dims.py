@@ -248,11 +248,10 @@ def growth_function(patterns: Iterable[Pattern], m: int) -> int:
     )
 
 
-def tree_paths(tree) -> frozenset[str]:
-    """Normalize a tree argument to its prefix-closed set of root-relative
-    paths. Accepts TraceTrie / GenerationTree (via .paths) or a raw set."""
-    paths = getattr(tree, "paths", tree)
-    out = frozenset(paths)
+def tree_paths(tree: Iterable[str]) -> frozenset[str]:
+    """A tree as its prefix-closed set of root-relative paths, checked to
+    hold the root ''."""
+    out = frozenset(tree)
     if "" not in out:
         raise ValueError("tree must contain the root path ''")
     return out
@@ -421,8 +420,8 @@ def atdim_realized(
     prompts = check_domain(prompts)
     best = 0
     for x in prompts:
-        trie = realized_trace_tree(cls, x, T_max)
-        d = leveled_subtree_depth(trie, max_depth=max(16, T_max))
+        tree = realized_trace_tree(cls, x, T_max)
+        d = leveled_subtree_depth(tree, max_depth=max(16, T_max))
         if d > best:
             best = d
     return best

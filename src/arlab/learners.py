@@ -136,7 +136,6 @@ class MajorityGenerator(Generator):
 
     voters: tuple[Generator, ...]
     horizon: int
-    kind = "majority"
 
     def __post_init__(self):
         if not self.voters:

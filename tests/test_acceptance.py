@@ -70,8 +70,8 @@ def test_ac6_atdim_example():
         labels = tuple(atdim_node_label(i) for i in range(1, 32))
         for T in range(2, 7):
             for x in labels:
-                trie = realized_trace_tree(cls, x, T)
-                assert len(trie.branches) <= T * T
+                tree = realized_trace_tree(cls, x, T)
+                assert sum(len(p) == T for p in tree) <= T * T
 
 
 def test_ac7_parity_dichotomy():

@@ -204,6 +204,19 @@ EXIT_CASES = [
                  id="chain-negative"),
     pytest.param(["learn", "--spec", "SPEC", "--sample", "no/such/sample.csv",
                   "--learner", "erm_e2e"], SHIFTED, None, 2, id="sample-missing"),
+    pytest.param(["sweep", "--spec", "SPEC", "--Ts", "1", "--mode", "e2e", "--learner",
+                  "erm_e2e", "--support", "chain:2", "--R", "2", "--svg",
+                  "no/such/dir/chart.svg"], SHIFTED, None, 2, id="svg-unwritable"),
+    # a cap below 1 is a bad flag, not a class beyond the enumeration cap
+    pytest.param(["dims", "--spec", "SPEC", "--domain", "chain:3", "--cap", "-5"],
+                 {"type": "full", "horizon": 6}, None, 2, id="dims-cap-negative"),
+    pytest.param(["taxonomy", "--rate", "1,1", "--cap", "0"], None, None, 2,
+                 id="taxonomy-cap-zero"),
+    pytest.param(["learn", "--spec", "SPEC", "--sample", "SAMPLE", "--learner", "erm_e2e",
+                  "--cap", "0"], FULL8, [("0", "01")], 2, id="learn-cap-zero"),
+    pytest.param(["sweep", "--spec", "SPEC", "--Ts", "1", "--mode", "e2e",
+                  "--learner", "erm_e2e", "--R", "2", "--cap", "0"], SHIFTED, None, 2,
+                 id="sweep-cap-zero"),
     # checked before the spec is read
     pytest.param(["sweep", "--spec", "no/such/spec.json", "--Ts", "1", "--mode", "e2e",
                   "--learner", "erm_e2e", "--support", "chain:0", "--R", "2"],

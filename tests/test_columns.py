@@ -20,12 +20,15 @@ from arlab.classes import (
 )
 from arlab.core import (
     ConstantGenerator,
+    EvalCache,
     FiniteClass,
     SequenceGenerator,
     cot_trace,
     e2e_output,
+    first_index,
     ones_by_step,
     realized_trace_tree,
+    trace_blocks,
 )
 from arlab.dims import (
     atdim_realized,
@@ -257,9 +260,11 @@ def test_walk_matches_per_generator_definitions(case):
         lowest: dict[str, int] = {}
         for g, row in enumerate(traces):
             lowest.setdefault(row[i], g)
-        trie = realized_trace_tree(cls, x, T)
-        assert trie.branches == set(lowest)
-        assert trie.witness == tuple(sorted(lowest.items()))
+        tree = realized_trace_tree(cls, x, T)
+        assert {p for p in tree if len(p) == T} == set(lowest)
+        # each block, in trace order, keeps the lowest generator of its trace
+        blocks = trace_blocks(EvalCache(cls), x, T)
+        assert [(t, first_index(v)) for t, v in blocks] == sorted(lowest.items())
     table = harness._e2e_table(cls, T, support)
     for g, f in enumerate(cls):
         assert [m >> g & 1 for m in table] == [e2e_output(f, x, T) == "1" for x in support]
@@ -273,6 +278,23 @@ def test_walk_matches_per_generator_definitions(case):
             harness._erm_e2e_index(len(cls), table, sampled)
 
 
+@st.composite
+def tree_cases(draw):
+    linear = st.sampled_from([LINEAR[1], LINEAR[2]])
+    cls = draw(st.one_of(ruled_classes, linear, st.just(FiniteClass((), 6))))
+    T = draw(st.integers(1, min(cls.horizon - 1, 4)))
+    return cls, draw(st.text(alphabet="01", max_size=cls.horizon - T)), T
+
+
+@settings(max_examples=40, deadline=None)
+@given(tree_cases())
+def test_realized_tree_is_prefix_closure_of_traces(case):
+    cls, x, T = case
+    traces = {cot_trace(f, x, T) for f in cls}
+    want = {""} | {t[:i] for t in traces for i in range(1, T + 1)}
+    assert realized_trace_tree(cls, x, T) == want
+
+
 def test_walk_edge_cases():
     empty = FiniteClass((), 6)
     # T < 1 fails only for a nonempty class; the horizon is checked first
@@ -280,7 +302,7 @@ def test_walk_edge_cases():
         realized_trace_tree(FULL6, "0", 0)
     with pytest.raises(ValueError, match="T must be >= 1"):
         harness._e2e_table(FULL6, 0, ("0",))
-    assert realized_trace_tree(empty, "0", 0).branches == frozenset()
+    assert realized_trace_tree(empty, "0", 0) == {""}
     assert harness._e2e_table(empty, 0, ("0", "1")) == (0, 0)
     with pytest.raises(HorizonExceeded, match=r"\|x\|\+T=7 > horizon=6"):
         realized_trace_tree(empty, "00000", 2)
@@ -302,10 +324,10 @@ def test_walk_steps_each_generator_once_per_depth(monkeypatch):
     T = 6
     for x in ("", "0", "1", "0110"):
         calls[0] = 0
-        trie = realized_trace_tree(cls, x, T)
+        tree = realized_trace_tree(cls, x, T)
         assert calls[0] <= len(cls) * T
         # more than T inner nodes: stepping the whole class at each would exceed it
-        assert len(trie.paths) - len(trie.branches) > T
+        assert sum(len(p) < T for p in tree) > T
         calls[0] = 0
         harness._e2e_table.__wrapped__(cls, T, (x,))
         assert calls[0] <= len(cls) * T
@@ -326,6 +348,8 @@ def test_walk_never_steps_a_ruled_class(monkeypatch):
         raise AssertionError("a class with a mask rule must not call Generator.step")
 
     monkeypatch.setattr(SequenceGenerator, "step", step_called)
-    assert realized_trace_tree(full, x, T).witness == tuple(sorted(lowest.items()))
+    assert {p for p in realized_trace_tree(full, x, T) if len(p) == T} == set(lowest)
+    blocks = trace_blocks(EvalCache(full), x, T)
+    assert [(t, first_index(v)) for t, v in blocks] == sorted(lowest.items())
     assert harness._e2e_table.__wrapped__(full, T, (x,)) == (ones,)
     assert atdim_realized(full, chain_domain(10), 5) == 5

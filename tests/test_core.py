@@ -5,14 +5,18 @@ from hypothesis import given, settings, strategies as st
 
 from arlab.core import (
     ConstantGenerator,
+    EvalCache,
     FiniteClass,
     SequenceGenerator,
     apply_and_append,
     cot_trace,
     e2e_output,
+    first_index,
     full_generation_tree,
     realized_trace_tree,
+    trace_blocks,
 )
+from arlab.dims import tree_leaves
 from arlab.classes import make_atdim_example_class, make_full_class, make_parity_class
 from arlab.errors import HorizonExceeded
 
@@ -86,51 +90,63 @@ def test_e2e_parity_even_odd():
             assert e2e_output(f, q, 5) == f.b[k - 1]
 
 
+def traces(tree, T):
+    """The realized traces of a length-T realized tree: its paths of length T."""
+    return {p for p in tree if len(p) == T}
+
+
 def test_realized_trace_tree_constants():
     cls = FiniteClass((const0, const1), H)
-    trie = realized_trace_tree(cls, "", 2)
-    assert trie.branches == {"00", "11"}
+    tree = realized_trace_tree(cls, "", 2)
+    assert traces(tree, 2) == {"00", "11"}
+    assert tree == {"", "0", "1", "00", "11"}
 
 
 def test_realized_trace_tree_full_class():
     cls = make_full_class(8)
-    trie = realized_trace_tree(cls, "0", 2)
-    assert trie.branches == {"00", "01", "10", "11"}
+    tree = realized_trace_tree(cls, "0", 2)
+    assert traces(tree, 2) == {"00", "01", "10", "11"}
+    assert tree == full_generation_tree(2)
 
 
 def test_realized_trace_tree_atdim_right_collapse():
     # branch functions are constant 0 off the all-zero spine, so no realized
     # branch that starts with 1 ever branches again
     cls = make_atdim_example_class(3, H=32)
-    trie = realized_trace_tree(cls, "0", 3)
-    right = [b for b in trie.branches if b[0] == "1"]
+    tree = realized_trace_tree(cls, "0", 3)
+    right = [b for b in traces(tree, 3) if b[0] == "1"]
     assert right == ["1" + "0" * 2]
 
 
 def test_realized_trace_tree_witnesses():
+    # each trace block's first generator (the ERM tie-break) produces its trace
     cls = make_full_class(8)
-    trie = realized_trace_tree(cls, "0", 3)
-    for branch, idx in dict(trie.witness).items():
-        assert cot_trace(cls[idx], "0", 3) == branch
+    blocks = trace_blocks(EvalCache(cls), "0", 3)
+    assert {trace for trace, _ in blocks} == traces(realized_trace_tree(cls, "0", 3), 3)
+    for trace, version in blocks:
+        assert cot_trace(cls[first_index(version)], "0", 3) == trace
 
 
 def test_full_generation_tree_figure():
-    t = full_generation_tree("0", 2)
-    assert len(t.nodes) == t.node_count == 7
-    assert t.leaves() == {"000", "001", "010", "011"}
+    # the depth-2 tree below prompt "0": 7 nodes, 4 leaves
+    t = full_generation_tree(2)
+    assert len(t) == 7
+    assert {"0" + p for p in tree_leaves(t)} == {"000", "001", "010", "011"}
 
 
 def test_full_generation_tree_small():
-    assert full_generation_tree("", 0).nodes == {""}
-    assert full_generation_tree("1", 1).nodes == {"1", "10", "11"}
+    assert full_generation_tree(0) == {""}
+    assert {"1" + p for p in full_generation_tree(1)} == {"1", "10", "11"}
+    with pytest.raises(ValueError):
+        full_generation_tree(-1)
 
 
 def test_trie_paths_prefix_closed():
     cls = FiniteClass((const0, const1), H)
-    trie = realized_trace_tree(cls, "0", 3)
-    for p in trie.paths:
+    tree = realized_trace_tree(cls, "0", 3)
+    for p in tree:
         if p:
-            assert p[:-1] in trie.paths
+            assert p[:-1] in tree
 
 
 generators = st.one_of(
@@ -163,6 +179,6 @@ def test_trace_laws(f, x, T):
 )
 def test_trace_trie_sound_and_complete(gens, x, T):
     cls = FiniteClass(tuple(gens), H)
-    trie = realized_trace_tree(cls, x, T)
-    assert trie.branches == {cot_trace(f, x, T) for f in cls}
-    assert all(len(b) == T for b in trie.branches)
+    tree = realized_trace_tree(cls, x, T)
+    assert traces(tree, T) == {cot_trace(f, x, T) for f in cls}
+    assert all(len(p) <= T for p in tree)

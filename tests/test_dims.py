@@ -279,9 +279,16 @@ def test_growth_multiclass_ssp_bound():
 
 
 def test_leveled_depth_perfect_and_path():
-    assert leveled_subtree_depth(full_generation_tree("", 4)) == 4
+    assert leveled_subtree_depth(full_generation_tree(4)) == 4
     path = frozenset("0" * i for i in range(7))
     assert leveled_subtree_depth(path) == 0
+
+
+def test_full_generation_tree_is_perfect():
+    for T in range(7):
+        tree = full_generation_tree(T)
+        assert len(tree) == 2 ** (T + 1) - 1
+        assert leveled_subtree_depth(tree) == T
 
 
 def test_leveled_depth_figure_tree():
@@ -355,7 +362,7 @@ def test_leveled_depth_monotone_under_growth():
 
 
 def test_leaf_count_bound():
-    perfect = full_generation_tree("", 4)
+    perfect = full_generation_tree(4)
     assert leaf_count_bound_check(perfect)
     path = frozenset("0" * i for i in range(5))
     assert leaf_count_bound_check(path)
@@ -404,8 +411,8 @@ def test_realized_implies_shattered():
         T = 3
         if len(x) + T > cls.horizon:
             continue
-        trie = realized_trace_tree(cls, x, T)
-        d = leveled_subtree_depth(trie)
+        tree = realized_trace_tree(cls, x, T)
+        d = leveled_subtree_depth(tree)
         if d <= 2:
             assert atdim_shattered(cls, x, T, d)
 
@@ -456,9 +463,9 @@ def test_branch_count_law():
             for x in dom[:3]:
                 if len(x) + T > cls.horizon:
                     continue
-                trie = realized_trace_tree(cls, x, T)
-                d = leveled_subtree_depth(trie)
-                assert len(trie.branches) <= max(1, T ** (2 * d))
+                tree = realized_trace_tree(cls, x, T)
+                d = leveled_subtree_depth(tree)
+                assert sum(len(p) == T for p in tree) <= max(1, T ** (2 * d))
 
 
 def test_arl_bound_check():
