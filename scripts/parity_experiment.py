@@ -15,7 +15,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from arlab.classes import make_parity_class
-from arlab.harness import parity_lower_bound_experiment
+from arlab.harness import PARITY_LEARNERS, parity_lower_bound_experiment
 
 
 def main() -> int:
@@ -25,8 +25,7 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--T", type=int, default=3, help="odd generation length")
     ap.add_argument("--k-max", type=int, default=None)
-    ap.add_argument("--learner", default="cot_compress",
-                    choices=("cot_compress", "erm_cot"))
+    ap.add_argument("--learner", default="cot_compress", choices=PARITY_LEARNERS)
     args = ap.parse_args()
 
     k_max = args.k_max or max(2 * args.n, 2)

@@ -6,12 +6,10 @@ simulation harness.
 """
 
 from .core import (
-    ConstantGenerator,
     FiniteClass,
     Generator,
     SequenceGenerator,
     TableGenerator,
-    apply_and_append,
     cot_trace,
     e2e_output,
     full_generation_tree,

@@ -330,21 +330,21 @@ def cmd_learn(args) -> int:
         prompts = tuple(dict.fromkeys(x for x, _ in S))
         pos = {x: i for i, x in enumerate(prompts)}
         table = harness._e2e_table(cls, T, prompts)
-        g = harness._erm_e2e_index(len(cls), table, [(pos[x], y[-1]) for x, y in S])
+        g = harness.erm_e2e(len(cls), table, [(pos[x], y[-1]) for x, y in S])
         hyp = learners.CotHypothesis(cls[g], T)
-    elif args.learner == "cot_compress":
-        comp = learners.cot_compress(cls, S, rng_seed=args.seed)
-        hyp = learners.cot_reconstruct(cls, comp, T)
-        report.update(comp.size_report(len(S)))
-    elif args.learner == "linear_stable":
+    else:
         d = args.d
-        if d is None:
-            d = _linear_d_from_spec(args.spec)
-        kernel = learners.stable_compress_cot(S, d)
-        hyp = learners.stable_reconstruct_cot(kernel, d, T)
-        report.update({"kernel_size": len(kernel), "d": d})
-    else:  # pragma: no cover - argparse restricts choices
-        raise SpecParseError(f"unknown learner {args.learner!r}")
+        if d is None and args.learner == "linear_stable":
+            first = next(iter(cls), None)
+            if not isinstance(first, classes.LinearGenerator):
+                raise SpecParseError(
+                    "linear_stable needs -d or a linear_grid spec with 'd'")
+            d = first.params.d
+        hyp, kernel = harness.train_cot(cls, S, args.learner, args.seed, d=d)
+        if args.learner == "cot_compress":
+            report.update(kernel.size_report(len(S)))
+        elif args.learner == "linear_stable":
+            report.update({"kernel_size": len(kernel), "d": d})
     rows = []
     for x, y in S:
         pred = hyp(x)
@@ -352,14 +352,6 @@ def cmd_learn(args) -> int:
     write_csv(("prompt", "trace", "prediction", "consistent"), rows)
     print("kernel report: " + json.dumps(report, default=str), file=sys.stderr)
     return EXIT_OK
-
-
-def _linear_d_from_spec(path: str) -> int:
-    with open(path) as fh:
-        obj = json.load(fh)
-    if isinstance(obj, dict) and isinstance(obj.get("d"), int):
-        return obj["d"]
-    raise SpecParseError("linear_stable needs -d or a linear_grid spec with 'd'")
 
 
 def cmd_sweep(args) -> int:
@@ -447,8 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     l = sub.add_parser("learn", help="train a learner on a sample file")
     l.add_argument("--spec", required=True)
     l.add_argument("--sample", required=True, help="CSV with columns prompt,trace")
-    l.add_argument("--learner", required=True,
-                   choices=("erm_e2e", "cot_compress", "linear_stable"))
+    l.add_argument("--learner", required=True, choices=harness.LEARNER_MODES)
     l.add_argument("--seed", type=int, default=0)
     l.add_argument("-d", type=int, default=None, help="window for linear_stable")
     l.add_argument("--cap", type=int, default=classes.DEFAULT_CAP)

@@ -13,9 +13,9 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .errors import HorizonExceeded
+from .errors import HorizonExceeded, NotRealizable
 
 
 def check_bitstring(s: str) -> str:
@@ -36,15 +36,6 @@ class Generator:
 
     def step(self, x: str) -> str:
         raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class ConstantGenerator(Generator):
-    bit: str
-    horizon: int
-
-    def step(self, x: str) -> str:
-        return self.bit
 
 
 @dataclass(frozen=True)
@@ -150,13 +141,6 @@ def sequence_mask_rule(seqs: list[str]) -> Callable[[str], int]:
     return ones
 
 
-def apply_and_append(f: Generator, x: str) -> str:
-    """One autoregressive step: x -> x + f(x)."""
-    if len(x) >= f.horizon:
-        raise HorizonExceeded(f"|x|={len(x)} >= horizon={f.horizon}")
-    return x + f.step(x)
-
-
 def cot_trace(f: Generator, x: str, T: int) -> str:
     """Length-T suffix of the T-fold apply-and-append iteration of f on x."""
     if T < 1:
@@ -223,6 +207,18 @@ def first_index(mask: int) -> int:
     """The lowest set bit of a generator mask: its first generator in class
     order, which is how ERM breaks ties."""
     return (mask & -mask).bit_length() - 1
+
+
+def first_fit(version: int, ok_masks: Iterable[int]) -> int:
+    """ERM's rule: the lowest generator of version in every ok-mask, the
+    masks read lazily; raises NotRealizable when no generator is left."""
+    for m in ok_masks:
+        version &= m
+        if not version:
+            break
+    if not version:
+        raise NotRealizable("no generator in the class is consistent with the sample")
+    return first_index(version)
 
 
 def trace_blocks(cache: EvalCache, x: str, T: int) -> list[tuple[str, int]]:

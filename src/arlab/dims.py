@@ -468,27 +468,3 @@ def atdim_shattered(cls: FiniteClass, x: str, T: int, d: int) -> bool:
             return True
     return False
 
-
-def arl_bound_check(
-    cls: FiniteClass,
-    domain: Sequence[str],
-    T: int,
-    atdim: int | None = None,
-    vc: int | None = None,
-) -> bool:
-    """Check vc(e2e restriction) <= 20 * ATdim * VC * log2(T) when
-    T >= 20 * ATdim * VC; below that threshold the check is vacuously true.
-
-    The restricted VC is a lower bound on the true one, so a pass is
-    necessary-not-sufficient evidence; only a violation would be meaningful.
-    """
-    domain = check_domain(domain)
-    if vc is None:
-        vc = vc_dimension(restrict_base(cls, domain))
-    if atdim is None:
-        atdim = atdim_realized(cls, domain, T)
-    threshold = 20 * atdim * vc
-    if T < threshold:
-        return True
-    lhs = vc_dimension(restrict_e2e(cls, domain, T))
-    return lhs <= threshold * math.log2(T) if T >= 2 else lhs == 0

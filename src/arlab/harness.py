@@ -17,9 +17,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .core import FiniteClass, cot_trace, e2e_ones, e2e_output, first_index
-from .errors import NotRealizable, Unlearnable
+from .core import FiniteClass, cot_trace, e2e_ones, e2e_output, first_fit
+from .errors import Unlearnable
 from .learners import (
+    CompressedCot,
     CotHypothesis,
     CotSample,
     EvalCache,
@@ -35,6 +36,8 @@ from .learners import (
 LEARNER_MODES = {
     "erm_e2e": "e2e", "erm_cot": "cot", "cot_compress": "cot", "linear_stable": "cot"
 }
+# the CoT learners the parity experiment runs: those defined on any class
+PARITY_LEARNERS = ("cot_compress", "erm_cot")
 
 
 @dataclass(frozen=True)
@@ -118,15 +121,32 @@ def _e2e_row(table: tuple[int, ...], g: int) -> tuple[str, ...]:
     return tuple("1" if m >> g & 1 else "0" for m in table)
 
 
-def _erm_e2e_index(n: int, table, sampled: list[tuple[int, str]]) -> int:
-    """First of n generators whose end-to-end outputs fit the sampled
-    (support position, bit) pairs: the AND of their ok-masks."""
-    ok = (1 << n) - 1
-    for i, y in sampled:
-        ok &= table[i] if y == "1" else ~table[i]
-    if not ok:
-        raise NotRealizable("no generator e2e-consistent with the sample")
-    return first_index(ok)
+def erm_e2e(n: int, table, sampled: list[tuple[int, str]]) -> int:
+    """e2e ERM: the first of n generators whose end-to-end outputs, read off
+    the table, fit the sampled (support position, bit) pairs."""
+    ok_masks = (table[i] if y == "1" else ~table[i] for i, y in sampled)
+    return first_fit((1 << n) - 1, ok_masks)
+
+
+def train_cot(
+    cls: FiniteClass, S: CotSample, learner: str, boost_seed: int = 0,
+    cache: EvalCache | None = None, d: int | None = None,
+) -> tuple[CotHypothesis, CompressedCot | CotSample | None]:
+    """Train the named CoT learner on S. Returns its hypothesis and kernel:
+    the compression for cot_compress (boosting seeded by boost_seed), the
+    kernel sample for linear_stable (window d), None for erm_cot. cache
+    defaults to the class's shared EvalCache."""
+    if learner == "linear_stable":
+        kernel = stable_compress_cot(S, d)
+        return stable_reconstruct_cot(kernel, d, S.T), kernel
+    if cache is None:
+        cache = _eval_cache(cls)
+    if learner == "erm_cot":
+        return CotHypothesis(erm(cls, inflate(S), cache), S.T), None
+    if learner == "cot_compress":
+        comp = cot_compress(cls, S, rng_seed=boost_seed, cache=cache)
+        return cot_reconstruct(cls, comp, S.T, cache=cache), comp
+    raise ValueError(f"unknown CoT learner {learner!r}")
 
 
 def run_trial(cfg: TrialConfig) -> TrialResult:
@@ -144,33 +164,24 @@ def run_trial(cfg: TrialConfig) -> TrialResult:
     xs = dist.sample(rng, cfg.m)
     table = _e2e_table(cls, T, dist.support)
     truth = _e2e_row(table, target_idx)
-    sup_pos = {x: i for i, x in enumerate(dist.support)}
-    kernel_size = None
+    kernel = None
 
     if cfg.learner == "erm_e2e":
+        sup_pos = {x: i for i, x in enumerate(dist.support)}
         sampled = [(sup_pos[x], truth[sup_pos[x]]) for x in xs]
-        predictions = _e2e_row(table, _erm_e2e_index(len(cls), table, sampled))
+        predictions = _e2e_row(table, erm_e2e(len(cls), table, sampled))
     else:
         target = cls[target_idx]
         S = CotSample(tuple((x, cot_trace(target, x, T)) for x in xs), T)
-        if cfg.learner == "erm_cot":
-            g = erm(cls, inflate(S), _eval_cache(cls))
-            hyp = CotHypothesis(g, T)
-        elif cfg.learner == "cot_compress":
-            boost_seed = rng.randrange(2**32)
-            comp = cot_compress(cls, S, rng_seed=boost_seed, cache=_eval_cache(cls))
-            kernel_size = len(comp.kernel)
-            hyp = cot_reconstruct(cls, comp, T, cache=_eval_cache(cls))
-        else:  # linear_stable
-            kernel = stable_compress_cot(S, cfg.d)
-            kernel_size = len(kernel)
-            hyp = stable_reconstruct_cot(kernel, cfg.d, T)
+        # every CoT learner draws a boosting seed; as the last draw it moves no S
+        hyp, kernel = train_cot(cls, S, cfg.learner, rng.randrange(2**32), d=cfg.d)
         predictions = tuple(hyp.e2e(x) for x in dist.support)
 
     err = sum(
         (p for p, a, b in zip(dist.probs, predictions, truth) if a != b),
         Fraction(0),
     )
+    kernel_size = None if kernel is None else len(kernel)
     return TrialResult(err, kernel_size, (time.perf_counter() - t0) * 1e3)
 
 
@@ -304,6 +315,10 @@ def parity_lower_bound_experiment(
     """
     if T % 2 != 1:
         raise ValueError("the experiment is defined for odd T")
+    if R < 1:
+        raise ValueError(f"trial count R must be >= 1, got {R}")
+    if learner not in PARITY_LEARNERS:
+        raise ValueError(f"unsupported parity learner {learner!r}")
     if m is None:
         m = 2 * n
     if m < 1:
@@ -322,13 +337,7 @@ def parity_lower_bound_experiment(
         target = cls[target_idx]
         xs = [questions[rng.randrange(m)] for _ in range(n)]
         S = CotSample(tuple((x, cot_trace(target, x, T)) for x in xs), T)
-        if learner == "cot_compress":
-            comp = cot_compress(cls, S, rng_seed=rng.randrange(2**32), cache=cache)
-            hyp = cot_reconstruct(cls, comp, T, cache=cache)
-        elif learner == "erm_cot":
-            hyp = CotHypothesis(erm(cls, inflate(S), cache), T)
-        else:
-            raise ValueError(f"unsupported parity learner {learner!r}")
+        hyp, _ = train_cot(cls, S, learner, rng.randrange(2**32), cache)
         seen = set(xs)
         unseen = [q for q in questions if q not in seen]
         wrong = [

@@ -15,18 +15,14 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_
 from typing import Iterable, NamedTuple, Sequence
 
 from .classes import LinearParams, make_linear_generator, tail_encoding
-from .core import EvalCache, FiniteClass, Generator, cot_trace, first_index
+from .core import EvalCache, FiniteClass, Generator, cot_trace, first_fit
 from .dims import _shatter
-from .errors import (
-    BoostingFailed,
-    NotRealizable,
-    NotSeparable,
-    OriginMissing,
-)
+from .errors import BoostingFailed, NotSeparable, OriginMissing
 
 HYPOTHESIS_HORIZON = 1 << 30
 # cot_compress's boosting budget, voter-subset scale and reweighting
@@ -94,14 +90,7 @@ def deflate(inflated: Iterable[LabeledBit], S: CotSample) -> CotSample:
 def erm(cls: FiniteClass, sample: Iterable[LabeledBit], cache: EvalCache | None = None) -> Generator:
     """First generator in class order consistent with the binary sample."""
     cache = cache or EvalCache(cls)
-    mask = cache.full
-    for e in sample:
-        mask &= cache.ok_mask(e.x, e.y)
-        if not mask:
-            raise NotRealizable("no generator consistent with the binary sample")
-    if not mask:
-        raise NotRealizable("class is empty")
-    return cls[first_index(mask)]
+    return cls[first_fit(cache.full, (cache.ok_mask(e.x, e.y) for e in sample))]
 
 
 @dataclass(frozen=True)
@@ -110,6 +99,9 @@ class CompressedCot:
 
     kernel: CotSample
     side_info: tuple[tuple[int, ...], ...]
+
+    def __len__(self) -> int:  # the kernel size
+        return len(self.kernel)
 
     def size_report(self, m_original: int) -> dict:
         """Index-list cost as stored, and the information-theoretic s*n*log m
@@ -191,20 +183,13 @@ def cot_compress(
     cache = cache or EvalCache(cls)
     U = inflate(S)
     ok = [cache.ok_mask(e.x, e.y) for e in U]
-    consistent = cache.full
-    for m in ok:
-        consistent &= m
-    if not consistent:
-        raise NotRealizable("sample is not realizable by the class")
-
-    if all(m & 1 for m in ok):
+    # the ERM of the whole sample; generator 0 is the ERM of the empty set
+    if first_fit(cache.full, ok) == 0:
         return CompressedCot(CotSample((), S.T), ((),))
 
     s = S_MULTIPLIER * max(1, _base_vc_estimate(cache, [e.x for e in U]))
-
-    org_mask = {}
-    for e, m in zip(U, ok):
-        org_mask[e.origin] = org_mask.get(e.origin, cache.full) & m
+    # each origin's ok-mask: the AND over its T inflated examples
+    org_ok = [reduce(and_, ok[o * S.T:(o + 1) * S.T]) for o in range(len(S))]
 
     rng = random.Random(rng_seed)
     mU = len(U)
@@ -218,10 +203,7 @@ def cot_compress(
         for _attempt in range(BOOST_RETRIES):
             draw = rng.choices(idx, weights=w, k=s)
             origins = tuple(sorted({U[i].origin for i in draw}))
-            mask = cache.full
-            for o in origins:
-                mask &= org_mask[o]
-            g = first_index(mask)
+            g = first_fit(cache.full, (org_ok[o] for o in origins))
             errs = [i for i in idx if not ok[i] >> g & 1]
             if sum(w[i] for i in errs) <= 1.0 / 3.0:
                 accepted = (origins, g, errs)

@@ -234,8 +234,7 @@ def check_cot_round_trips(
         m = rng.randrange(1, 21)
         T = rng.randrange(1, 5)
         S, _ = random_realizable_cot_sample(cls, rng, m, T, pool)
-        comp = learners.cot_compress(cls, S, rng_seed=boost_base + i, cache=cache)
-        hyp = learners.cot_reconstruct(cls, comp, T, cache=cache)
+        hyp, _ = harness.train_cot(cls, S, "cot_compress", boost_base + i, cache)
         if any(hyp(x) != y for x, y in S):
             failures += 1
     return [Check(f"CoT compression round trip on {n} samples over F(N={{1,3,4}})",
@@ -256,10 +255,9 @@ def check_linear_stable_compression(rng: random.Random, n: int) -> list[Check]:
         T = rng.randrange(1, 4)
         pool_l = _random_domain(rng, 6, 8)
         S, _ = random_realizable_cot_sample(grids[d], rng, m, T, list(pool_l))
-        kernel = learners.stable_compress_cot(S, d)
+        hyp, kernel = harness.train_cot(grids[d], S, "linear_stable", d=d)
         if len(kernel) > d + 1:
             size_viol += 1
-        hyp = learners.stable_reconstruct_cot(kernel, d, T)
         if any(hyp(x) != y for x, y in S):
             lin_failures += 1
         kern = set(kernel.examples)

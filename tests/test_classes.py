@@ -174,7 +174,8 @@ def test_product_relocation():
 
 
 def test_product_constant_parts():
-    from arlab.core import ConstantGenerator, FiniteClass
+    from arlab.core import FiniteClass
+    from conftest import ConstantGenerator
 
     c0 = FiniteClass((ConstantGenerator("0", 8),), 8)
     prod = make_product_class([c0, c0])

@@ -412,6 +412,21 @@ def test_learn_erm_e2e_first_consistent(tmp_path, capsys):
     assert preds == [cot_trace(g, x, 3) for x, _ in pairs]
 
 
+def test_learn_erm_cot(tmp_path, capsys):
+    spec = write_spec(tmp_path, SHIFTED)
+    cls = make_shifted_subset_class(IntervalSet((1, 3, 4)), 16, 32)
+    pairs = [(x, cot_trace(cls[42], x, 3)) for x in ("0", "00", "000", "1")]
+    sample = make_sample_file(tmp_path, pairs)
+    rc, out, err = run_main(
+        ["learn", "--spec", spec, "--sample", sample, "--learner", "erm_cot"], capsys
+    )
+    assert rc == 0
+    rows = list(csv.reader(out.splitlines()))[1:]
+    assert len(rows) == 4 and all(r[3] == "True" for r in rows)
+    report = json.loads(err.split("kernel report: ", 1)[1])
+    assert report == {"learner": "erm_cot", "m": 4, "T": 3}
+
+
 def test_learn_not_realizable(tmp_path, capsys):
     spec = write_spec(
         tmp_path, {"type": "shifted_subset", "N": [1], "s_max": 1, "horizon": 16}

@@ -19,7 +19,6 @@ from arlab.classes import (
     make_shifted_subset_class,
 )
 from arlab.core import (
-    ConstantGenerator,
     EvalCache,
     FiniteClass,
     SequenceGenerator,
@@ -39,6 +38,8 @@ from arlab.dims import (
     vc_dimension,
 )
 from arlab.errors import HorizonExceeded, NotRealizable
+from arlab.learners import CotSample, erm, inflate
+from conftest import ConstantGenerator
 
 FULL6 = make_full_class(6)
 
@@ -218,7 +219,7 @@ def test_loop_oracle_calls_no_rule_helper(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The trace-partition walk: realized trees, e2e tables and e2e ERM
+# The trace-partition walk: realized trees, e2e tables, and e2e and CoT ERM
 # ---------------------------------------------------------------------------
 
 LINEAR = {d: classes.enumerate_linear_class(d, 1, 8) for d in (1, 2)}
@@ -247,8 +248,8 @@ def walk_cases(draw):
     T = draw(st.integers(1, min(cls.horizon - 1, 4)))
     prompt = st.text(alphabet="01", max_size=cls.horizon - T)
     support = tuple(draw(st.lists(prompt, unique=True, min_size=1, max_size=4)))
-    labels = st.lists(st.tuples(st.integers(0, 3), st.booleans()), max_size=6)
-    return cls, support, T, draw(labels)
+    labels = st.tuples(st.integers(0, 3), st.booleans(), st.integers(0, 15))
+    return cls, support, T, draw(st.lists(labels, max_size=6))
 
 
 @settings(max_examples=80, deadline=None)
@@ -268,14 +269,29 @@ def test_walk_matches_per_generator_definitions(case):
     table = harness._e2e_table(cls, T, support)
     for g, f in enumerate(cls):
         assert [m >> g & 1 for m in table] == [e2e_output(f, x, T) == "1" for x in support]
+    draws = [(i % len(support), bit, j) for i, bit, j in draws]
     # e2e ERM: the first generator whose final bits fit the sample
-    sampled = [(i % len(support), "1" if bit else "0") for i, bit in draws]
+    sampled = [(i, "1" if bit else "0") for i, bit, _ in draws]
     fits = [g for g, row in enumerate(traces) if all(row[i][-1] == y for i, y in sampled)]
     if fits:
-        assert harness._erm_e2e_index(len(cls), table, sampled) == fits[0]
+        assert harness.erm_e2e(len(cls), table, sampled) == fits[0]
     else:
         with pytest.raises(NotRealizable):
-            harness._erm_e2e_index(len(cls), table, sampled)
+            harness.erm_e2e(len(cls), table, sampled)
+    # CoT ERM: the first generator whose steps fit every inflated example of
+    # a sample of generator j's traces, the last bit flipped when bit is set
+    rows = traces or [["0" * T] * len(support)]
+    examples = []
+    for i, bit, j in draws:
+        t = rows[j % len(rows)][i]
+        examples.append((support[i], t[:-1] + str(int(t[-1]) ^ bit)))
+    U = inflate(CotSample(tuple(examples), T))
+    fits = [g for g, f in enumerate(cls) if all(f.step(e.x) == e.y for e in U)]
+    if fits:
+        assert erm(cls, U) is cls[fits[0]]
+    else:
+        with pytest.raises(NotRealizable):
+            erm(cls, U)
 
 
 @st.composite

@@ -4,11 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arlab.core import (
-    ConstantGenerator,
     EvalCache,
     FiniteClass,
     SequenceGenerator,
-    apply_and_append,
     cot_trace,
     e2e_output,
     first_index,
@@ -19,6 +17,7 @@ from arlab.core import (
 from arlab.dims import tree_leaves
 from arlab.classes import make_atdim_example_class, make_full_class, make_parity_class
 from arlab.errors import HorizonExceeded
+from conftest import ConstantGenerator, apply_and_append
 
 H = 16
 const0 = ConstantGenerator("0", H)

@@ -22,7 +22,6 @@ from arlab.classes import (
     relocation_prefixes,
 )
 from arlab.core import (
-    ConstantGenerator,
     EvalCache,
     FiniteClass,
     TableGenerator,
@@ -30,7 +29,6 @@ from arlab.core import (
     realized_trace_tree,
 )
 from arlab.dims import (
-    arl_bound_check,
     atdim_realized,
     atdim_shattered,
     chain_domain,
@@ -48,6 +46,7 @@ from arlab.dims import (
     vc_dimension,
 )
 from arlab.errors import DepthCapExceeded, HorizonExceeded, SearchCapExceeded
+from conftest import ConstantGenerator, arl_bound_check
 
 # The running example tree from the leveled-subtree illustration: a depth-4
 # tree whose deepest perfect leveled subtree has depth exactly 2.

@@ -6,7 +6,7 @@ import pytest
 
 from arlab import harness
 from arlab.classes import IntervalSet, make_parity_class, make_shifted_subset_class
-from arlab.core import ConstantGenerator, FiniteClass
+from arlab.core import FiniteClass
 from arlab.errors import Unlearnable
 from arlab.harness import (
     Distribution,
@@ -17,6 +17,7 @@ from arlab.harness import (
     run_trial,
     sweep_T,
 )
+from conftest import ConstantGenerator
 
 H = 16
 
@@ -141,6 +142,22 @@ def test_sweep_rows():
     assert sweep_T(cfg, [], "0.1", "0.1", R=8) == []
 
 
+def test_sweep_erm_cot_pinned():
+    # AC11's class and support under CoT ERM; the seeded rows are pinned
+    cls = taxonomy_class()
+    dist = Distribution.uniform(["0", "00", "000", "0000", "01"])
+    cfg = TrialConfig(
+        cls=cls, dist=dist, T=1, mode="cot", learner="erm_cot", m=0, rng_seed=0
+    )
+    rows = sweep_T(cfg, [1, 2, 4, 8], "0.1", "0.1", R=20)
+    assert [(r["T"], r["mode"], r["m_hat"], r["failure_rate"]) for r in rows] == [
+        (1, "cot", 4, Fraction(1, 20)),
+        (2, "cot", 3, Fraction(1, 10)),
+        (4, "cot", 4, Fraction(1, 10)),
+        (8, "cot", 2, Fraction(1, 10)),
+    ]
+
+
 def test_child_seed_disjoint():
     seen = {child_seed(0, b, i) for b in range(4) for i in range(100)}
     assert len(seen) == 400
@@ -172,6 +189,16 @@ def test_parity_requires_odd_T():
         parity_lower_bound_experiment(cls, k_max=4, n=4, R=5, seed=0)
 
 
+def test_parity_rejects_bad_R_and_learner(monkeypatch):
+    # both are rejected before the first trial
+    monkeypatch.setattr(harness, "train_cot", None)
+    cls = make_parity_class(4, H=64)
+    with pytest.raises(ValueError, match="R must be >= 1"):
+        parity_lower_bound_experiment(cls, k_max=4, n=2, R=0, seed=0)
+    with pytest.raises(ValueError, match="unsupported parity learner"):
+        parity_lower_bound_experiment(cls, k_max=4, n=2, R=5, seed=0, learner="erm_e2e")
+
+
 def test_parity_smoke():
     cls = make_parity_class(8, H=64)
     stats = parity_lower_bound_experiment(cls, k_max=8, n=4, R=40, seed=1)
@@ -180,3 +207,13 @@ def test_parity_smoke():
     for t in stats.trials:
         assert t.bad <= t.unseen
         assert 0 <= t.error <= 1
+
+
+@pytest.mark.parametrize("learner", ["cot_compress", "erm_cot"])
+def test_parity_learners_answer_seen_questions(learner):
+    # every wrong answer is on an unseen question: error * m == bad
+    cls = make_parity_class(8, H=64)
+    stats = parity_lower_bound_experiment(
+        cls, k_max=8, n=4, R=100, seed=0, learner=learner
+    )
+    assert all(t.error * 8 == t.bad for t in stats.trials)

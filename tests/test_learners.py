@@ -14,7 +14,7 @@ from arlab.classes import (
     enumerate_linear_class,
     make_shifted_subset_class,
 )
-from arlab.core import ConstantGenerator, FiniteClass, cot_trace
+from arlab.core import FiniteClass, cot_trace
 from arlab.errors import NotRealizable, NotSeparable, OriginMissing
 from arlab.learners import (
     CotSample,
@@ -30,6 +30,7 @@ from arlab.learners import (
     stable_compress_cot,
     stable_reconstruct_cot,
 )
+from conftest import ConstantGenerator
 
 H = 16
 const0 = ConstantGenerator("0", H)
