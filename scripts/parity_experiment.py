@@ -15,24 +15,31 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from arlab.classes import make_parity_class
+from arlab.cli import int_at_least
 from arlab.harness import PARITY_LEARNERS, parity_lower_bound_experiment
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n", type=int, default=4, help="training sample size")
-    ap.add_argument("--R", type=int, default=200)
+    ap.add_argument("--n", type=int_at_least(0), default=4,
+                    help="training sample size")
+    ap.add_argument("--R", type=int_at_least(1), default=200)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--T", type=int, default=3, help="odd generation length")
-    ap.add_argument("--k-max", type=int, default=None)
+    ap.add_argument("--T", type=int_at_least(1), default=3, help="odd generation length")
+    ap.add_argument("--k-max", type=int_at_least(1), default=None)
     ap.add_argument("--learner", default="cot_compress", choices=PARITY_LEARNERS)
     args = ap.parse_args()
 
-    k_max = args.k_max or max(2 * args.n, 2)
+    m = max(2 * args.n, 2)
+    k_max = args.k_max or m
+    if args.T % 2 == 0:
+        ap.error(f"--T must be odd, got {args.T}")
+    if k_max < m:
+        ap.error(f"--k-max must be >= max(2n, 2) = {m}, got {k_max}")
     cls = make_parity_class(k_max, H=64)
     stats = parity_lower_bound_experiment(
         cls, k_max=k_max, n=args.n, R=args.R, seed=args.seed,
-        T=args.T, learner=args.learner, m=max(2 * args.n, 2),
+        T=args.T, learner=args.learner, m=m,
     )
     print(f"trials: {stats.R}")
     print(f"freq(error >= 1/4): {float(stats.frequency_quarter):.3f}")

@@ -14,31 +14,27 @@ Example:
 import argparse
 import csv
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from arlab.cli import write_svg_lines
+from arlab.cli import int_at_least, probability, write_svg_lines
 from arlab.verify import cot_vs_e2e_sweep
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--Ts", default="1,2,4,8")
-    ap.add_argument("--R", type=int, default=100)
-    ap.add_argument("--eps", default="0.1")
-    ap.add_argument("--delta", default="0.1")
+    ap.add_argument("--Ts", type=int_at_least(1, ","), default="1,2,4,8")
+    ap.add_argument("--R", type=int_at_least(1), default=100)
+    ap.add_argument("--eps", type=probability, default="0.1")
+    ap.add_argument("--delta", type=probability, default="0.1")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--smax", type=int, default=12)
+    ap.add_argument("--smax", type=int_at_least(0), default=12)
     ap.add_argument("--csv", default=None)
     ap.add_argument("--svg", default=None)
     args = ap.parse_args()
 
-    Ts = [int(t) for t in args.Ts.split(",")]
-    sweeps = cot_vs_e2e_sweep(
-        Ts, args.R, args.seed, args.smax, Fraction(args.eps), Fraction(args.delta)
-    )
+    sweeps = cot_vs_e2e_sweep(args.Ts, args.R, args.seed, args.smax, args.eps, args.delta)
     all_rows = []
     for learner, rows in sweeps.items():
         for r in rows:

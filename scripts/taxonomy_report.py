@@ -15,6 +15,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from arlab.classes import RateTable, diagonal_rate
+from arlab.cli import int_at_least
 from arlab.verify import taxonomy_sandwich
 
 
@@ -31,7 +32,7 @@ def check_rate(name: str, rate: RateTable, t_max: int) -> bool:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--Tmax", type=int, default=6)
+    ap.add_argument("--Tmax", type=int_at_least(1), default=6)
     args = ap.parse_args()
     t = args.Tmax
 

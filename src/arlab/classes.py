@@ -208,6 +208,8 @@ class ProductClass(FiniteClass):
     """A make_product_class result; it keeps its parts for the mask rule."""
 
     parts: tuple[FiniteClass, ...] = field(default=(), compare=False, repr=False)
+    # set here, or the dataclass would generate an uncached hash again
+    __hash__ = FiniteClass.__hash__
 
     @cached_property
     def mask_rule(self):

@@ -155,6 +155,30 @@ def _flag_probability(flag: str, text: str) -> Fraction:
     raise SpecParseError(f"{flag} must be a fraction in [0, 1], got {text!r}")
 
 
+def int_at_least(lo: int, sep: str | None = None):
+    """argparse type for the scripts: an integer >= lo, or with sep a list of
+    them joined by sep. Anything else is a usage error, exit 2."""
+
+    def parse(text: str):
+        try:
+            values = [int(v) for v in (text.split(sep) if sep else [text])]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if any(v < lo for v in values):
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {text!r}")
+        return values if sep else values[0]
+
+    return parse
+
+
+def probability(text: str) -> Fraction:
+    """argparse type for the scripts: a fraction in [0, 1]."""
+    try:
+        return _flag_probability("the value", text)
+    except SpecParseError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 def parse_domain(text: str, flag: str = "--domain") -> tuple[str, ...]:
     """Either 'chain:K' (prompts 0^1..0^K) or a comma-separated prompt list
     where '-' stands for the empty prompt; prompts must be distinct."""

@@ -94,6 +94,14 @@ class FiniteClass:
     def __getitem__(self, i: int) -> Generator:
         return self.generators[i]
 
+    def __hash__(self) -> int:
+        # the dataclass's own value, computed once: hot caches key on the class
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.generators, self.horizon))
+
     @cached_property
     def mask_rule(self) -> Callable[[str], int] | None:
         """Closed-form next-bit mask x -> (bit g set iff generator g emits 1

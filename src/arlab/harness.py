@@ -199,8 +199,14 @@ class ComplexityEstimate:
         return dict(self.failure_rates)[m]
 
 
+def _check_trial_count(R: int) -> None:
+    if R < 1:
+        raise ValueError(f"trial count R must be >= 1, got {R}")
+
+
 def failure_rate(cfg: TrialConfig, m: int, eps, R: int) -> Fraction:
     """Fraction of R seeded trials with population error > eps (exact)."""
+    _check_trial_count(R)
     eps = Fraction(eps)
     fails = 0
     for r in range(R):
@@ -219,7 +225,8 @@ def estimate_sample_complexity(
 ) -> ComplexityEstimate:
     """Smallest m on a doubling-then-bisection grid whose empirical failure
     rate over R trials is <= delta. cfg.m is ignored; cfg.rng_seed acts as the
-    master seed. Raises Unlearnable if nothing up to m_cap succeeds."""
+    master seed. Raises Unlearnable if nothing up to m_cap succeeds, and
+    ValueError (through failure_rate, before any trial) for R < 1."""
     eps = Fraction(eps)
     delta = Fraction(delta)
     curve: dict[int, Fraction] = {}
@@ -315,8 +322,7 @@ def parity_lower_bound_experiment(
     """
     if T % 2 != 1:
         raise ValueError("the experiment is defined for odd T")
-    if R < 1:
-        raise ValueError(f"trial count R must be >= 1, got {R}")
+    _check_trial_count(R)
     if learner not in PARITY_LEARNERS:
         raise ValueError(f"unsupported parity learner {learner!r}")
     if m is None:

@@ -153,11 +153,16 @@ class CotHypothesis:
 
 
 def _base_vc_estimate(cache: EvalCache, xs: Sequence[str]) -> int:
-    """VC dimension of the base class on the distinct prompts: the cell
-    search with generators as rows and each prompt's next-bit mask as a
-    column."""
-    cols = [[m, cache.full ^ m] for m in map(cache.ones, dict.fromkeys(xs))]
-    return _shatter(len(cache.cls), cols)
+    """VC dimension of the base class on the distinct prompts, memoized by
+    their set of next-bit masks."""
+    return _base_vc_core(cache.full, frozenset(map(cache.ones, set(xs))))
+
+
+@lru_cache(maxsize=4096)
+def _base_vc_core(full: int, masks: frozenset) -> int:
+    """The cell search with the generators of full as rows and each mask as
+    a column; its value does not depend on the column order."""
+    return _shatter(full.bit_length(), [[m, full ^ m] for m in masks])
 
 
 def cot_compress(

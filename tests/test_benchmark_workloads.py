@@ -4,6 +4,7 @@ cache counters, so that renaming a name the benchmark uses fails here."""
 
 import sys
 from contextlib import nullcontext
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,12 @@ import worker  # noqa: E402
 import workloads  # noqa: E402
 
 
+@cache
+def _ops(name: str) -> tuple:
+    # one build per workload; running an op changes no other op's answer
+    return tuple(workloads.build(name, 1, nullcontext))
+
+
 @pytest.mark.parametrize(
     "name, op_name",
     [
@@ -23,11 +30,12 @@ import workloads  # noqa: E402
         ("trees", "small/0"),
         ("pac", "cot/0"),
         ("pac", "linear/0"),
+        ("pac", "sweep/cot_compress/T2"),
+        ("pac", "sweep/erm_e2e/T2"),
     ],
 )
 def test_workload_builds_and_runs_one_op(name, op_name):
-    ops = {op.name: op for op in workloads.build(name, 1, nullcontext)}
-    op = ops[op_name]
+    [op] = [op for op in _ops(name) if op.name == op_name]
     assert op.check(op.run())
 
 
@@ -41,7 +49,7 @@ def test_cache_counts_reads_every_cache():
 
 def test_every_dims_op_matches_reference():
     # a change to any benchmark class's pattern set or dimension fails here
-    ops = workloads.build("dims", 1, nullcontext)
+    ops = _ops("dims")
     assert sorted(op.name for op in ops) == sorted(reference.DIMS)
     wrong = [op.name for op in ops if not op.check(op.run())]
     assert not wrong

@@ -174,6 +174,15 @@ def test_constructions_own_their_rules():
     assert FiniteClass(prod.generators, prod.horizon).mask_rule is None
     # a product's parts are not part of its identity
     assert prod == classes.ProductClass(prod.generators, prod.horizon)
+    # the hash is the dataclass's value, kept once computed
+    for cls in (part, prod, make_parity_class(2, 8)):
+        assert hash(cls) == hash((cls.generators, cls.horizon))
+        assert vars(cls)["_hash"] == hash(cls)
+    again = make_product_class([make_shifted_subset_class(IntervalSet((1, 3)), 2, 8),
+                                make_parity_class(2, 8)])
+    assert again is not prod and again == prod and hash(again) == hash(prod)
+    plain = FiniteClass(prod.generators, prod.horizon)
+    assert hash(plain) == hash(prod) and plain != prod
 
 
 FULL_ANCHORS = (11, 20, 36, 64, 112)

@@ -130,6 +130,20 @@ def test_estimate_unlearnable_cap():
         estimate_sample_complexity(cfg, Fraction(-1), "0.0", R=4, m_cap=4)
 
 
+@pytest.mark.parametrize("R", [0, -1])
+def test_estimate_rejects_bad_R(monkeypatch, R):
+    # rejected before the first trial, not by Fraction(fails, 0)
+    monkeypatch.setattr(harness, "run_trial", None)
+    cfg = TrialConfig(
+        cls=taxonomy_class(), dist=Distribution.uniform(["0"]), T=1, mode="e2e",
+        learner="erm_e2e", m=0, rng_seed=0,
+    )
+    with pytest.raises(ValueError, match="R must be >= 1"):
+        harness.failure_rate(cfg, 1, Fraction(1, 10), R)
+    with pytest.raises(ValueError, match="R must be >= 1"):
+        estimate_sample_complexity(cfg, Fraction(1, 10), Fraction(1, 10), R=R)
+
+
 def test_sweep_rows():
     cls = taxonomy_class()
     dist = Distribution.uniform(["0", "00"])
