@@ -4,9 +4,9 @@ Subcommands: dims, taxonomy, learn, sweep, verify. Every command is
 deterministic given its flags and --seed; stdout is machine-parseable CSV with
 a fixed header line (reports and diagnostics go to stderr). Exit codes:
 0 ok, 1 check failure, 2 parse error, 3 enumeration cap, 4 invalid rate,
-5 not realizable/separable. Bad input of any kind (a malformed or
-out-of-range spec, flag value or domain, or a T or domain beyond the spec's
-horizon) exits 2.
+5 not realizable/separable. Bad input of any kind exits 2: a flag value that
+its argparse type rejects (a usage error), a malformed spec, or a T or domain
+beyond the spec's horizon.
 
 Class-spec files are JSON, one object per file, with a normative `type` field
 in {full, shifted_subset, product, linear_grid, parity, atdim_example,
@@ -133,38 +133,16 @@ def load_class(path: str, cap: int = classes.DEFAULT_CAP) -> FiniteClass:
     return build_class(obj, cap)
 
 
-def _flag_ints(flag: str, text: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",")]
-    except ValueError as e:
-        raise SpecParseError(f"{flag} must be a comma list of integers: {e}") from e
-
-
-def _flag_positive(flag: str, *values: int) -> None:
-    if any(v < 1 for v in values):
-        raise SpecParseError(f"{flag} must be >= 1, got {','.join(map(str, values))}")
-
-
-def _flag_probability(flag: str, text: str) -> Fraction:
-    try:
-        value = Fraction(text)
-        if 0 <= value <= 1:
-            return value
-    except (ValueError, ZeroDivisionError):
-        pass
-    raise SpecParseError(f"{flag} must be a fraction in [0, 1], got {text!r}")
-
-
-def int_at_least(lo: int, sep: str | None = None):
-    """argparse type for the scripts: an integer >= lo, or with sep a list of
-    them joined by sep. Anything else is a usage error, exit 2."""
+def int_at_least(lo: int | None, sep: str | None = None):
+    """argparse type: an integer >= lo (any integer if lo is None), or with
+    sep a list of them joined by sep. Anything else is a usage error, exit 2."""
 
     def parse(text: str):
         try:
             values = [int(v) for v in (text.split(sep) if sep else [text])]
         except ValueError:
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-        if any(v < lo for v in values):
+        if lo is not None and any(v < lo for v in values):
             raise argparse.ArgumentTypeError(f"must be >= {lo}, got {text!r}")
         return values if sep else values[0]
 
@@ -172,23 +150,22 @@ def int_at_least(lo: int, sep: str | None = None):
 
 
 def probability(text: str) -> Fraction:
-    """argparse type for the scripts: a fraction in [0, 1]."""
+    """argparse type: a fraction in [0, 1]."""
     try:
-        return _flag_probability("the value", text)
-    except SpecParseError as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
+        value = Fraction(text)
+        if 0 <= value <= 1:
+            return value
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise argparse.ArgumentTypeError(f"must be a fraction in [0, 1], got {text!r}")
 
 
-def parse_domain(text: str, flag: str = "--domain") -> tuple[str, ...]:
-    """Either 'chain:K' (prompts 0^1..0^K) or a comma-separated prompt list
-    where '-' stands for the empty prompt; prompts must be distinct."""
+def parse_domain(text: str) -> tuple[str, ...]:
+    """argparse type: either 'chain:K' (prompts 0^1..0^K) or a comma-separated
+    prompt list where '-' stands for the empty prompt; prompts must be
+    distinct."""
     if text.startswith("chain:"):
-        try:
-            k = int(text.split(":", 1)[1])
-        except ValueError as e:
-            raise SpecParseError(f"bad chain domain {text!r}") from e
-        if k < 0:
-            raise SpecParseError(f"{flag} {text}: K must be >= 0")
+        k = int_at_least(0)(text.split(":", 1)[1])
         return dims.chain_domain(k)
     toks = (tok.strip() for tok in text.split(","))
     try:
@@ -196,7 +173,7 @@ def parse_domain(text: str, flag: str = "--domain") -> tuple[str, ...]:
             ["" if tok in ("", "-") else check_bitstring(tok) for tok in toks]
         )
     except ValueError as e:
-        raise SpecParseError(str(e)) from e
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +268,7 @@ DIM_NAMES = ("vc_base", "vc_e2e", "nat_cot", "vc_dual", "littlestone", "atdim")
 
 
 def cmd_dims(args) -> int:
-    domain = parse_domain(args.domain)
-    _flag_positive("--T", args.T)
-    _flag_positive("--depth-cap", args.depth_cap)
-    _flag_positive("--cap", args.cap)
+    domain = args.domain
     cls = load_class(args.spec, args.cap)
     wanted = DIM_NAMES if args.which == "all" else (args.which,)
     rows = []
@@ -323,12 +297,7 @@ def cmd_dims(args) -> int:
 
 
 def cmd_taxonomy(args) -> int:
-    if args.Tmax is not None:
-        _flag_positive("--Tmax", args.Tmax)
-    _flag_positive("--cap", args.cap)
-    if args.smax is not None and args.smax < 0:
-        raise SpecParseError(f"--smax must be >= 0, got {args.smax}")
-    rate = classes.RateTable(tuple(_flag_ints("--rate", args.rate)))
+    rate = classes.RateTable(tuple(args.rate))
     t_max = args.Tmax or rate.t_max
     if t_max > rate.t_max:
         raise SpecParseError(f"--Tmax {t_max} exceeds tabulated rate length {rate.t_max}")
@@ -339,9 +308,6 @@ def cmd_taxonomy(args) -> int:
 
 
 def cmd_learn(args) -> int:
-    if args.d is not None:
-        _flag_positive("-d", args.d)
-    _flag_positive("--cap", args.cap)
     cls = load_class(args.spec, args.cap)
     pairs = read_sample_csv(args.sample)
     if not pairs:
@@ -379,20 +345,9 @@ def cmd_learn(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    eps = _flag_probability("--eps", args.eps)
-    delta = _flag_probability("--delta", args.delta)
-    _flag_positive("--R", args.R)
-    Ts = _flag_ints("--Ts", args.Ts) if args.Ts else []
-    _flag_positive("--Ts", *Ts)
-    if args.d is not None:
-        _flag_positive("-d", args.d)
-    _flag_positive("--cap", args.cap)
-    if args.m_cap < 0:
-        raise SpecParseError(f"--m-cap must be >= 0, got {args.m_cap}")
-    support = parse_domain(args.support, "--support")
-    if not support:
-        raise SpecParseError(f"--support {args.support} names no prompt")
-    dist = harness.Distribution.uniform(support)
+    if not args.support:
+        raise SpecParseError("--support names no prompt")
+    dist = harness.Distribution.uniform(args.support)
     cls = load_class(args.spec, args.cap)
     try:
         cfg = harness.TrialConfig(
@@ -401,7 +356,7 @@ def cmd_sweep(args) -> int:
         )
     except ValueError as e:  # a learner that does not fit --mode, or lacks -d
         raise SpecParseError(str(e)) from e
-    rows = harness.sweep_T(cfg, Ts, eps, delta, args.R, args.m_cap)
+    rows = harness.sweep_T(cfg, args.Ts, args.eps, args.delta, args.R, args.m_cap)
     if args.svg:
         write_svg_lines(
             args.svg, {args.mode: [(r["T"], r["m_hat"]) for r in rows]}
@@ -414,8 +369,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.trials is not None:
-        _flag_positive("--trials", args.trials)
     suite = {
         "lemmas": verify.suite_lemmas,
         "compression": verify.suite_compression,
@@ -442,22 +395,25 @@ def build_parser() -> argparse.ArgumentParser:
         prog="arlab",
         description="Desk-scale laboratory for autoregressive PAC learning.",
     )
+    positive = int_at_least(1)
     sub = p.add_subparsers(dest="command", required=True)
 
     d = sub.add_parser("dims", help="brute-force dimensions of a class spec")
     d.add_argument("--spec", required=True)
-    d.add_argument("--domain", required=True, help="chain:K or comma list")
-    d.add_argument("--T", type=int, default=1)
+    d.add_argument("--domain", required=True, type=parse_domain,
+                   help="chain:K or comma list")
+    d.add_argument("--T", type=positive, default=1)
     d.add_argument("--which", default="all", choices=DIM_NAMES + ("all",))
-    d.add_argument("--depth-cap", type=int, default=12)
-    d.add_argument("--cap", type=int, default=classes.DEFAULT_CAP)
+    d.add_argument("--depth-cap", type=positive, default=12)
+    d.add_argument("--cap", type=positive, default=classes.DEFAULT_CAP)
     d.set_defaults(func=cmd_dims)
 
     t = sub.add_parser("taxonomy", help="check the rate sandwich for a rate table")
-    t.add_argument("--rate", required=True, help="comma list r(1),r(2),...")
-    t.add_argument("--Tmax", type=int, default=None)
-    t.add_argument("--smax", type=int, default=None)
-    t.add_argument("--cap", type=int, default=classes.DEFAULT_CAP)
+    t.add_argument("--rate", required=True, type=int_at_least(None, ","),
+                   help="comma list r(1),r(2),...")
+    t.add_argument("--Tmax", type=positive, default=None)
+    t.add_argument("--smax", type=int_at_least(0), default=None)
+    t.add_argument("--cap", type=positive, default=classes.DEFAULT_CAP)
     t.set_defaults(func=cmd_taxonomy)
 
     l = sub.add_parser("learn", help="train a learner on a sample file")
@@ -465,31 +421,32 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--sample", required=True, help="CSV with columns prompt,trace")
     l.add_argument("--learner", required=True, choices=harness.LEARNER_MODES)
     l.add_argument("--seed", type=int, default=0)
-    l.add_argument("-d", type=int, default=None, help="window for linear_stable")
-    l.add_argument("--cap", type=int, default=classes.DEFAULT_CAP)
+    l.add_argument("-d", type=positive, default=None, help="window for linear_stable")
+    l.add_argument("--cap", type=positive, default=classes.DEFAULT_CAP)
     l.set_defaults(func=cmd_learn)
 
     s = sub.add_parser("sweep", help="empirical sample complexity across T")
     s.add_argument("--spec", required=True)
-    s.add_argument("--Ts", required=True, help="comma list of generation lengths")
+    s.add_argument("--Ts", required=True, type=int_at_least(1, ","),
+                   help="comma list of generation lengths")
     s.add_argument("--mode", required=True, choices=("e2e", "cot"))
     s.add_argument("--learner", required=True, choices=harness.LEARNER_MODES)
-    s.add_argument("--support", default="chain:8")
-    s.add_argument("--eps", default="0.1")
-    s.add_argument("--delta", default="0.1")
-    s.add_argument("--R", type=int, default=100)
-    s.add_argument("--m-cap", type=int, default=4096)
+    s.add_argument("--support", type=parse_domain, default="chain:8")
+    s.add_argument("--eps", type=probability, default="0.1")
+    s.add_argument("--delta", type=probability, default="0.1")
+    s.add_argument("--R", type=positive, default=100)
+    s.add_argument("--m-cap", type=int_at_least(0), default=4096)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--svg", default=None)
-    s.add_argument("-d", type=int, default=None)
-    s.add_argument("--cap", type=int, default=classes.DEFAULT_CAP)
+    s.add_argument("-d", type=positive, default=None)
+    s.add_argument("--cap", type=positive, default=classes.DEFAULT_CAP)
     s.set_defaults(func=cmd_sweep)
 
     v = sub.add_parser("verify", help="run a named property suite")
     v.add_argument("--suite", required=True,
                    choices=("lemmas", "compression", "parity", "sauer"))
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--trials", type=int, default=None,
+    v.add_argument("--trials", type=positive, default=None,
                    help="scale down the default trial counts")
     v.set_defaults(func=cmd_verify)
     return p

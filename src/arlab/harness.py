@@ -130,17 +130,16 @@ def erm_e2e(n: int, table, sampled: list[tuple[int, str]]) -> int:
 
 def train_cot(
     cls: FiniteClass, S: CotSample, learner: str, boost_seed: int = 0,
-    cache: EvalCache | None = None, d: int | None = None,
+    d: int | None = None,
 ) -> tuple[CotHypothesis, CompressedCot | CotSample | None]:
-    """Train the named CoT learner on S. Returns its hypothesis and kernel:
-    the compression for cot_compress (boosting seeded by boost_seed), the
-    kernel sample for linear_stable (window d), None for erm_cot. cache
-    defaults to the class's shared EvalCache."""
+    """Train the named CoT learner on S, evaluating through the class's shared
+    EvalCache. Returns its hypothesis and kernel: the compression for
+    cot_compress (boosting seeded by boost_seed), the kernel sample for
+    linear_stable (window d), None for erm_cot."""
     if learner == "linear_stable":
         kernel = stable_compress_cot(S, d)
         return stable_reconstruct_cot(kernel, d, S.T), kernel
-    if cache is None:
-        cache = _eval_cache(cls)
+    cache = _eval_cache(cls)
     if learner == "erm_cot":
         return CotHypothesis(erm(cls, inflate(S), cache), S.T), None
     if learner == "cot_compress":
@@ -332,7 +331,6 @@ def parity_lower_bound_experiment(
     if k_max < m:
         raise ValueError(f"k_max={k_max} must be >= m={m}")
     questions = ["0" * k + "1" for k in range(1, m + 1)]
-    cache = _eval_cache(cls)
     trials = []
     quarter = Fraction(1, 4)
     freq = 0
@@ -343,7 +341,7 @@ def parity_lower_bound_experiment(
         target = cls[target_idx]
         xs = [questions[rng.randrange(m)] for _ in range(n)]
         S = CotSample(tuple((x, cot_trace(target, x, T)) for x in xs), T)
-        hyp, _ = train_cot(cls, S, learner, rng.randrange(2**32), cache)
+        hyp, _ = train_cot(cls, S, learner, rng.randrange(2**32))
         seen = set(xs)
         unseen = [q for q in questions if q not in seen]
         wrong = [

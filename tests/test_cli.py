@@ -1,5 +1,6 @@
 """CLI surface: spec files, exit codes, CSV output."""
 
+import argparse
 import csv
 import json
 import subprocess
@@ -23,7 +24,10 @@ SHIFTED = {"type": "shifted_subset", "N": [1, 3, 4], "s_max": 16, "horizon": 32}
 
 
 def run_main(argv, capsys):
-    rc = main(argv)
+    try:
+        rc = main(argv)
+    except SystemExit as e:  # argparse rejects a flag value: a usage error
+        rc = e.code
     out = capsys.readouterr()
     return rc, out.out, out.err
 
@@ -31,8 +35,9 @@ def run_main(argv, capsys):
 def test_parse_domain():
     assert parse_domain("chain:3") == ("0", "00", "000")
     assert parse_domain("01,1,-") == ("01", "1", "")
-    with pytest.raises(Exception):
-        parse_domain("01,2x")
+    for bad in ("01,2x", "0,0", "chain:x", "chain:-1"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_domain(bad)
 
 
 def test_dims_vc_e2e_row(tmp_path, capsys):
@@ -221,6 +226,13 @@ EXIT_CASES = [
     pytest.param(["sweep", "--spec", "no/such/spec.json", "--Ts", "1", "--mode", "e2e",
                   "--learner", "erm_e2e", "--support", "chain:0", "--R", "2"],
                  None, None, 2, id="support-empty"),
+    # a bad flag value is an argparse usage error, checked by the flag's type
+    pytest.param(["sweep", "--spec", "SPEC", "--Ts", "", "--mode", "e2e",
+                  "--learner", "erm_e2e", "--R", "2"], SHIFTED, None, 2, id="Ts-empty"),
+    pytest.param(["dims", "--spec", "SPEC", "--domain", "chain:x"], SHIFTED, None, 2,
+                 id="chain-not-int"),
+    # --rate parses as integers; RateTable owns the rate rules
+    pytest.param(["taxonomy", "--rate", "0,1"], None, None, 4, id="rate-zero"),
     # one prompt, two different final bits
     pytest.param(["learn", "--spec", "SPEC", "--sample", "SAMPLE",
                   "--learner", "erm_e2e"],

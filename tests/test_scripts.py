@@ -35,13 +35,16 @@ def test_script_runs(script, args, line):
         ("parity_experiment", ["--R", "0"]),
         ("parity_experiment", ["--T", "2"]),
         ("parity_experiment", ["--k-max", "1"]),
+        ("parity_experiment", ["--k-max", "21"]),
+        ("parity_experiment", ["--n", "11"]),
         ("sweep_cot_vs_e2e", ["--R", "0"]),
         ("sweep_cot_vs_e2e", ["--Ts", "1,x"]),
         ("sweep_cot_vs_e2e", ["--eps", "1/0"]),
         ("taxonomy_report", ["--Tmax", "0"]),
     ],
     ids=[
-        "parity-R-zero", "parity-T-even", "parity-k-max-small", "sweep-R-zero",
+        "parity-R-zero", "parity-T-even", "parity-k-max-small",
+        "parity-k-max-over-cap", "parity-n-over-cap", "sweep-R-zero",
         "sweep-Ts-not-int", "sweep-eps-not-fraction", "taxonomy-Tmax-zero",
     ],
 )
