@@ -12,7 +12,6 @@ from .core import (
     TableGenerator,
     cot_trace,
     e2e_output,
-    full_generation_tree,
     realized_trace_tree,
 )
 from .classes import (

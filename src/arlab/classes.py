@@ -490,7 +490,7 @@ def atdim_node_label(i: int) -> str:
     return "0" * i
 
 
-def make_atdim_example_class(D: int, H: int) -> FiniteClass:
+def make_atdim_example_class(D: int, H: int, cap: int = DEFAULT_CAP) -> FiniteClass:
     """Depth-D truncation of the branch class with VC = ATdim = 1 but
     unbounded Littlestone dimension.
 
@@ -503,6 +503,7 @@ def make_atdim_example_class(D: int, H: int) -> FiniteClass:
     """
     if D < 1:
         raise ValueError("D must be >= 1")
+    _check_cap(2**D, cap)
     gens = []
     for leaf in range(2**D, 2 ** (D + 1)):
         path = [leaf >> j for j in range(D, -1, -1)]

@@ -111,7 +111,7 @@ def build_class(obj: dict, cap: int = classes.DEFAULT_CAP) -> FiniteClass:
             )
         if t == "atdim_example":
             return classes.make_atdim_example_class(
-                _need(obj, "depth", int, t), _need(obj, "horizon", int, t)
+                _need(obj, "depth", int, t), _need(obj, "horizon", int, t), cap
             )
         # taxonomy
         rate = classes.RateTable(tuple(_int_list(obj, "rate", t)))

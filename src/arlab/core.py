@@ -9,7 +9,6 @@ raises HorizonExceeded rather than silently truncating.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -259,16 +258,6 @@ def e2e_ones(cache: EvalCache, x: str, T: int) -> int:
     """End-to-end mask at x: bit g set iff generator g's length-T trace from
     x ends in 1, the union of those trace blocks."""
     return sum(v for trace, v in trace_blocks(cache, x, T) if trace[-1] == "1")
-
-
-def full_generation_tree(T: int) -> frozenset[str]:
-    """Every continuation of a prompt up to depth T, as root-relative paths:
-    all bit strings of length <= T, '' being the root."""
-    if T < 0:
-        raise ValueError("T must be >= 0")
-    return frozenset(
-        "".join(p) for t in range(T + 1) for p in itertools.product("01", repeat=t)
-    )
 
 
 def realized_trace_tree(cls: FiniteClass, x: str, T: int) -> frozenset[str]:

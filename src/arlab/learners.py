@@ -342,6 +342,10 @@ def max_margin(
     the constant separator (w = 0, b = +/-1) supported on its canonically
     smallest point. Support representatives are chosen by lowest origin,
     which deletions of other examples preserve.
+
+    The stable CoT scheme reads per-example contents instead
+    (`_cot_contents`); this `LabeledBit` entry is the oracle it is tested
+    against.
     """
     reps: dict[tuple, LabeledBit] = {}
     for e in sample:
@@ -349,12 +353,7 @@ def max_margin(
         best = reps.get(key)
         if best is None or _rep_order(e) < _rep_order(best):
             reps[key] = e
-    contents = tuple(sorted(reps))
-    seen = {}
-    for p, y in contents:
-        if seen.setdefault(p, y) != y:
-            raise NotSeparable(f"contradictory labels at tail point {p}")
-    params, support_contents = _margin_core(contents, d)
+    params, support_contents = _margin_core(_sorted_contents(reps), d)
     return params, [reps[c] for c in support_contents]
 
 
@@ -363,13 +362,43 @@ def _rep_order(e: LabeledBit):
     return (o, e.x, e.y)
 
 
+def _sorted_contents(contents: Iterable[tuple]) -> tuple:
+    """Distinct (tail point, label) contents in canonical (sorted) order;
+    raises NotSeparable when one point carries both labels."""
+    contents = tuple(sorted(contents))
+    seen = {}
+    for p, y in contents:
+        if seen.setdefault(p, y) != y:
+            raise NotSeparable(f"contradictory labels at tail point {p}")
+    return contents
+
+
+@lru_cache(maxsize=1 << 14)
+def _example_contents(x: str, y: str, d: int) -> tuple:
+    """The T (tail point, label) pairs of one CoT example's inflation."""
+    return tuple((tail_encoding(x + y[:t], d), y[t]) for t in range(len(y)))
+
+
+def _cot_contents(S: CotSample, d: int) -> tuple[tuple, dict]:
+    """The sorted distinct contents of inflate(S), and each content's lowest
+    origin."""
+    origin: dict[tuple, int] = {}
+    for i, (x, y) in enumerate(S):
+        for c in _example_contents(x, y, d):
+            origin.setdefault(c, i)
+    return _sorted_contents(origin), origin
+
+
 def stable_compress_cot(S: CotSample, d: int) -> CotSample:
-    """Kernel of the lifted stable scheme: deflate the max-margin support of
-    the inflated sample. Size <= d+1; an empty sample has the empty kernel."""
+    """Kernel of the lifted stable scheme: the examples behind the max-margin
+    support of the inflated sample, each support content taken from its
+    lowest origin (the same kernel as deflating `max_margin`'s support).
+    Size <= d+1; an empty sample has the empty kernel."""
     if len(S) == 0:
         return S
-    params, support = max_margin(inflate(S), d)
-    return deflate(support, S)
+    contents, origin = _cot_contents(S, d)
+    _, support = _margin_core(contents, d)
+    return CotSample(tuple(S[i] for i in sorted({origin[c] for c in support})), S.T)
 
 
 def stable_reconstruct_cot(K: CotSample, d: int, T: int) -> CotHypothesis:
@@ -379,5 +408,5 @@ def stable_reconstruct_cot(K: CotSample, d: int, T: int) -> CotHypothesis:
     if len(K) == 0:
         params = LinearParams.of((0,) * d, 1)
     else:
-        params, _ = max_margin(inflate(K), d)
+        params, _ = _margin_core(_cot_contents(K, d)[0], d)
     return CotHypothesis(make_linear_generator(params, HYPOTHESIS_HORIZON), T)

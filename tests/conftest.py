@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -31,6 +32,16 @@ class ConstantGenerator(Generator):
 
     def step(self, x: str) -> str:
         return self.bit
+
+
+def full_generation_tree(T: int) -> frozenset[str]:
+    """Every continuation of a prompt up to depth T, as root-relative paths:
+    all bit strings of length <= T, '' being the root."""
+    if T < 0:
+        raise ValueError("T must be >= 0")
+    return frozenset(
+        "".join(p) for t in range(T + 1) for p in itertools.product("01", repeat=t)
+    )
 
 
 def apply_and_append(f: Generator, x: str) -> str:

@@ -188,6 +188,10 @@ EXIT_CASES = [
     pytest.param(["dims", "--spec", "SPEC", "--domain", "chain:2", "--T", "1",
                   "--which", "vc_base", "--cap", "1000"],
                  {"type": "full", "horizon": 18}, None, 3, id="cap"),
+    # 2^10 branch generators over the cap, checked before any is built
+    pytest.param(["dims", "--spec", "SPEC", "--domain", "chain:3", "--which", "vc_base",
+                  "--cap", "100"], {"type": "atdim_example", "depth": 10, "horizon": 5000},
+                 None, 3, id="atdim-over-cap"),
     pytest.param(["taxonomy", "--rate", "2,1"], None, None, 4, id="rate-invalid"),
     # 1,296 generator columns: the dual search finishes
     pytest.param(["dims", "--spec", "SPEC", "--domain", "010,0100,01000,0010,00100,001000",

@@ -10,14 +10,13 @@ from arlab.core import (
     cot_trace,
     e2e_output,
     first_index,
-    full_generation_tree,
     realized_trace_tree,
     trace_blocks,
 )
 from arlab.dims import tree_leaves
 from arlab.classes import make_atdim_example_class, make_full_class, make_parity_class
 from arlab.errors import HorizonExceeded
-from conftest import ConstantGenerator, apply_and_append
+from conftest import ConstantGenerator, apply_and_append, full_generation_tree
 
 H = 16
 const0 = ConstantGenerator("0", H)

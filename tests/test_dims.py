@@ -25,7 +25,6 @@ from arlab.core import (
     EvalCache,
     FiniteClass,
     TableGenerator,
-    full_generation_tree,
     realized_trace_tree,
 )
 from arlab.dims import (
@@ -46,7 +45,7 @@ from arlab.dims import (
     vc_dimension,
 )
 from arlab.errors import DepthCapExceeded, HorizonExceeded, SearchCapExceeded
-from conftest import ConstantGenerator, arl_bound_check
+from conftest import ConstantGenerator, arl_bound_check, full_generation_tree
 
 # The running example tree from the leveled-subtree illustration: a depth-4
 # tree whose deepest perfect leveled subtree has depth exactly 2.

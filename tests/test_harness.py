@@ -231,3 +231,33 @@ def test_parity_learners_answer_seen_questions(learner):
         cls, k_max=8, n=4, R=100, seed=0, learner=learner
     )
     assert all(t.error * 8 == t.bad for t in stats.trials)
+
+
+@pytest.mark.parametrize("learner", harness.PARITY_LEARNERS)
+def test_parity_learners_answer_unseen_questions_zero(monkeypatch, learner):
+    # every unseen question is answered 0, so error * m is the number of
+    # unseen questions whose target bit is 1
+    runs = []  # per trial: the sample, the hypothesis, the target's e2e bits
+
+    def train_cot(*args, **kwargs):
+        hyp, kernel = train_cot_orig(*args, **kwargs)
+        runs.append((args[1], hyp, {}))
+        return hyp, kernel
+
+    def e2e_output(f, x, T):
+        runs[-1][2][x] = bit = e2e_output_orig(f, x, T)
+        return bit
+
+    train_cot_orig, e2e_output_orig = harness.train_cot, harness.e2e_output
+    monkeypatch.setattr(harness, "train_cot", train_cot)
+    monkeypatch.setattr(harness, "e2e_output", e2e_output)
+    cls = make_parity_class(8, H=64)
+    stats = parity_lower_bound_experiment(
+        cls, k_max=8, n=4, R=100, seed=0, learner=learner
+    )
+    assert len(runs) == len(stats.trials) == 100
+    for (S, hyp, target), t in zip(runs, stats.trials):
+        unseen = set(target) - {x for x, _ in S}
+        assert len(target) == 8 and len(unseen) == t.unseen
+        assert all(hyp.e2e(q) == "0" for q in unseen)
+        assert t.error * 8 == sum(target[q] == "1" for q in unseen)

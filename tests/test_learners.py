@@ -509,3 +509,38 @@ def test_stable_reconstruct_matches_superset():
 def test_stable_empty_kernel_convention():
     hyp = stable_reconstruct_cot(CotSample((), 3), 2, 3)
     assert hyp("0") == "111"
+
+
+def test_stable_content_path_matches_max_margin_oracle():
+    # the per-example content path against max_margin on the inflated sample:
+    # AC9-style samples, the same examples repeated and reordered, and the
+    # union of two targets' samples, which may contradict
+    rng = random.Random(23)
+    grids = {d: enumerate_linear_class(d, 2, H=64) for d in (1, 2, 3)}
+    contradictions = 0
+    for _ in range(100):
+        d = rng.randrange(1, 4)
+        T = rng.randrange(1, 4)
+        pool = list(verify._random_domain(rng, 6, 8))
+        S, _ = verify.random_realizable_cot_sample(grids[d], rng, rng.randrange(1, 16), T, pool)
+        S2, _ = verify.random_realizable_cot_sample(grids[d], rng, rng.randrange(1, 8), T, pool)
+        shuffled = list(S.examples * 2)
+        rng.shuffle(shuffled)
+        for sample in (S, CotSample(tuple(shuffled), T), CotSample(S.examples + S2.examples, T)):
+            try:
+                _, support = max_margin(inflate(sample), d)
+            except NotSeparable as e:
+                contradictions += str(e).startswith("contradictory")
+                for content_path in (
+                    lambda: stable_compress_cot(sample, d),
+                    lambda: stable_reconstruct_cot(sample, d, T),
+                ):
+                    with pytest.raises(NotSeparable) as got:
+                        content_path()
+                    assert str(got.value) == str(e)
+                continue
+            K = stable_compress_cot(sample, d)
+            assert K == deflate(support, sample)
+            hyp = stable_reconstruct_cot(K, d, T)
+            assert hyp.generator.params == max_margin(inflate(K), d)[0]
+    assert contradictions
